@@ -3,12 +3,13 @@
 Four families of diagnostics:
 
 * spectral — a characteristic domain length from the first moment of the
-  power spectrum (in-house radix-2 FFT; grids must be powers of two);
+  power spectrum (numpy FFT; any grid size);
 * clustering — connected components of a thresholded phase map under
   4-connectivity (run-based union-find), with spanning tests;
 * percolation — a Monte Carlo site-percolation threshold estimate;
-* transport — effective sheet resistance of the composite from a
-  Kirchhoff/Laplace solve with harmonic-mean bond conductances.
+* transport — effective sheet resistance of the composite from an exact
+  Kirchhoff solve with harmonic-mean bond conductances, by column-by-column
+  elimination at O(nx*ny^3) time and O(ny^2) memory.
 
 Clustering and spanning use non-periodic boundaries (electrodes break
 periodicity) even though the underlying composition field is periodic;
@@ -33,7 +34,6 @@ __all__ = [
     "ClusterLabeling",
     "ConductivityMap",
     "AnalysisRow",
-    "fft2",
     "characteristic_length",
     "label_clusters",
     "spans",
@@ -54,62 +54,14 @@ class NoStructureError(ValueError):
 
 
 class LinearSolveError(RuntimeError):
-    """Conjugate gradient failed to reach the target residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+    """The Kirchhoff system of a conductivity map has no usable solution:
+    a singular elimination block, or a non-finite or non-positive
+    electrode current."""
 
 
 # ---------------------------------------------------------------------------
 # Spectral length scale
 # ---------------------------------------------------------------------------
-
-def _bit_reversed(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev = (rev << 1) | ((idx >> b) & 1)
-    return rev
-
-
-def _fft_last_axis(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 Cooley-Tukey along the last axis (forward,
-    unnormalized, e^{-2*pi*i*jk/n} convention)."""
-    n = x.shape[-1]
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"transform length must be a power of two, got {n}")
-    if n == 1:
-        return x.astype(np.complex128, copy=True)
-    shape = x.shape
-    x = x[..., _bit_reversed(n)].astype(np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        w = np.exp((-2j * np.pi / size) * np.arange(half))
-        blocks = x.reshape(shape[:-1] + (n // size, size))
-        even = blocks[..., :half]
-        odd = blocks[..., half:] * w
-        x = np.concatenate((even + odd, even - odd), axis=-1).reshape(shape)
-        size *= 2
-    return x
-
-
-def fft2(a: np.ndarray) -> np.ndarray:
-    """2D forward DFT via row-column decomposition; both sides must be
-    powers of two."""
-    a = np.asarray(a)
-    out = _fft_last_axis(a)
-    out = _fft_last_axis(out.swapaxes(-1, -2)).swapaxes(-1, -2)
-    return out
-
-
-def _wavenumbers(n: int, h: float) -> np.ndarray:
-    """Signed angular wavenumbers 2*pi*m/(n*h), m = 0..n/2-1, -n/2..-1."""
-    m = (np.arange(n) + n // 2) % n - n // 2
-    return (2.0 * np.pi / (n * h)) * m
-
 
 def characteristic_length(f: ScalarField2D) -> float:
     """First-moment length L = 2*pi * sum S(k) / sum |k| S(k), k != 0,
@@ -118,15 +70,12 @@ def characteristic_length(f: ScalarField2D) -> float:
     A pure sinusoid of wavelength lam gives L = lam exactly; white noise
     gives a few cell spacings.  Invariant under cyclic shifts and x -> 1-x.
     """
-    nx, ny = f.spec.nx, f.spec.ny
-    if nx & (nx - 1) or ny & (ny - 1):
-        raise ValueError(f"spectral analysis needs power-of-two grids, got {nx}x{ny}")
     v = f.values
     if float(v.max()) == float(v.min()):
         raise NoStructureError("constant field has no structure")
-    spectrum = np.abs(fft2(v - v.mean())) ** 2
-    kx = _wavenumbers(nx, f.spec.h)
-    ky = _wavenumbers(ny, f.spec.h)
+    spectrum = np.abs(np.fft.fft2(v - v.mean())) ** 2
+    kx = 2.0 * np.pi * np.fft.fftfreq(f.spec.nx, d=f.spec.h)
+    ky = 2.0 * np.pi * np.fft.fftfreq(f.spec.ny, d=f.spec.h)
     kmag = np.hypot(ky[:, None], kx[None, :])
     mask = kmag > 0.0
     s = spectrum[mask]
@@ -354,24 +303,25 @@ def _bond_conductances(s: np.ndarray):
     return gh, gv, gl, gr
 
 
-def _kirchhoff_apply(V, gh, gv, gl, gr):
-    out = np.zeros_like(V)
-    fh = gh * (V[:, :-1] - V[:, 1:])
-    out[:, :-1] += fh
-    out[:, 1:] -= fh
-    fv = gv * (V[:-1, :] - V[1:, :])
-    out[:-1, :] += fv
-    out[1:, :] -= fv
-    out[:, 0] += gl * V[:, 0]
-    out[:, -1] += gr * V[:, -1]
-    return out
+def _oriented(c: ConductivityMap, axis: str) -> np.ndarray:
+    """sigma with the driven axis along columns (the y axis is transposed)."""
+    if axis == "x":
+        return c.sigma
+    if axis == "y":
+        return c.sigma.T
+    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def _solve_network(s: np.ndarray, rtol: float, max_iter: int | None):
-    """Node potentials for unit voltage left->right, insulating top/bottom.
+def _electrode_current(s: np.ndarray) -> float:
+    """Current through the left electrode for unit voltage left->right,
+    insulating top/bottom.
 
-    Jacobi-preconditioned conjugate gradient on the SPD Kirchhoff system;
-    raises LinearSolveError with the final residual on non-convergence.
+    Exact column-by-column Schur complement from the right electrode to the
+    left: with A_j the Kirchhoff block of column j and G_j = diag(gh[:, j])
+    its coupling to column j+1, S <- A_j - G_j S^-1 G_j carries the
+    Dirichlet-to-Neumann map of everything right of column j.  The source is
+    nonzero only on column 0, so S_0 V_0 = gl closes the solve.  Memory is
+    O(ny^2) and time O(nx ny^3).
     """
     ny, nx = s.shape
     gh, gv, gl, gr = _bond_conductances(s)
@@ -383,72 +333,48 @@ def _solve_network(s: np.ndarray, rtol: float, max_iter: int | None):
     diag[:, 0] += gl
     diag[:, -1] += gr
 
-    b = np.zeros_like(s)
-    b[:, 0] = gl  # electrode at potential 1; right electrode at 0
-    # linear ramp through cell centers: exact for a uniform map
-    V = np.tile(1.0 - (np.arange(nx) + 0.5) / nx, (ny, 1))
+    def add_block(j: int, S: np.ndarray) -> np.ndarray:
+        flat = S.reshape(-1)
+        flat[::ny + 1] += diag[:, j]
+        flat[1::ny + 1] -= gv[:, j]
+        flat[ny::ny + 1] -= gv[:, j]
+        return S
 
-    b_norm = math.sqrt(float((b * b).sum()))
-    target = rtol * b_norm
-    if max_iter is None:
-        max_iter = 200 * max(nx, ny) + 1000
-
-    r = b - _kirchhoff_apply(V, gh, gv, gl, gr)
-    z = r / diag
-    p = z.copy()
-    rz = float((r * z).sum())
-    res = math.sqrt(float((r * r).sum()))
-    it = 0
-    while res > target and it < max_iter:
-        Ap = _kirchhoff_apply(p, gh, gv, gl, gr)
-        alpha = rz / float((p * Ap).sum())
-        V += alpha * p
-        r -= alpha * Ap
-        res = math.sqrt(float((r * r).sum()))
-        z = r / diag
-        rz_new = float((r * z).sum())
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-        it += 1
-    if res > target:
-        raise LinearSolveError(
-            f"conjugate gradient stalled after {it} iterations: "
-            f"residual {res:.3e} > target {target:.3e}", residual=res)
-    return V, gl, gr
+    S = add_block(nx - 1, np.zeros((ny, ny)))
+    for j in range(nx - 2, -1, -1):
+        g = gh[:, j]
+        S = add_block(j, -g[:, None] * np.linalg.inv(S) * g)
+    V0 = np.linalg.solve(S, gl)
+    return float((gl * (1.0 - V0)).sum())
 
 
-def effective_sheet_resistance(c: ConductivityMap, axis: str,
-                               rtol: float = 1e-10,
-                               max_iter: int | None = None) -> float:
+def effective_sheet_resistance(c: ConductivityMap, axis: str) -> float:
     """Sheet resistance (per square) for current driven along `axis` with
     unit potential difference across the opposing edges.
 
     Bond conductances are harmonic means of adjacent cell sigma; electrode
     coupling uses the half-cell bond 2*sigma so a uniform map gives exactly
     1/sigma per square.  The raw V/I resistance is normalized by
-    width/length to squares.
+    width/length to squares.  Raises LinearSolveError when the network
+    carries no usable current: a singular block, or a current that is not
+    finite and positive.
     """
-    if axis == "x":
-        s = c.sigma
-    elif axis == "y":
-        s = c.sigma.T
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    s = _oriented(c, axis)
     ny, nx = s.shape
-    V, gl, gr = _solve_network(s, rtol, max_iter)
-    current = float((gl * (1.0 - V[:, 0])).sum())
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            current = _electrode_current(s)
+    except (np.linalg.LinAlgError, FloatingPointError) as err:
+        raise LinearSolveError(f"Kirchhoff elimination failed: {err}") from err
+    if not (math.isfinite(current) and current > 0.0):
+        raise LinearSolveError(f"Kirchhoff solve gave electrode current {current!r}")
     return (1.0 / current) * (ny / nx)
 
 
 def dense_sheet_resistance(c: ConductivityMap, axis: str) -> float:
     """Direct dense solve of the same Kirchhoff system; oracle for grids
     up to 32x32."""
-    if axis == "x":
-        s = c.sigma
-    elif axis == "y":
-        s = c.sigma.T
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    s = _oriented(c, axis)
     ny, nx = s.shape
     n = nx * ny
     if n > 32 * 32:

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from spinodalkit.analysis import (REPORT_HEADER, ClusterLabeling,
                                   NoStructureError, Phase, PhaseMap,
-                                  analyze_field, characteristic_length, fft2,
+                                  analyze_field, characteristic_length,
                                   label_clusters, percolation_threshold_mc,
                                   spans, write_report_csv)
 from spinodalkit.fields import GridSpec, ScalarField2D, gaussian_field
@@ -17,18 +17,6 @@ def field(vals, h=1.0):
     vals = np.asarray(vals, dtype=float)
     ny, nx = vals.shape
     return ScalarField2D(GridSpec(nx, ny, h), vals)
-
-
-@pytest.mark.parametrize("shape", [(8, 8), (4, 16), (32, 2)])
-def test_fft2_matches_reference(shape):
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert_allclose(fft2(a), np.fft.fft2(a), rtol=1e-12, atol=1e-12)
-
-
-def test_fft2_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        fft2(np.zeros((6, 8)))
 
 
 @pytest.mark.parametrize("m,h", [(4, 1.0), (2, 0.5), (8, 2.0)])

@@ -121,6 +121,43 @@ def test_analyze_snapshot_directory(tmp_path, config_path, capsys):
     assert float(lines[1].split(",")[0]) == 0.0
 
 
+def test_analyze_report_is_byte_identical_across_runs_and_threads(
+        tmp_path, config_path):
+    snaps = tmp_path / "snaps"
+    cli.main(["simulate", "--config", str(config_path), "--out", str(snaps)])
+    reports = []
+    for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+        rep = tmp_path / name
+        assert cli.main(["analyze", "--in", str(snaps), "--out", str(rep),
+                         "--threads", threads]) == 0
+        reports.append((rep / "report.csv").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_analyze_non_power_of_two_grid(tmp_path):
+    ini = tmp_path / "odd.ini"
+    ini.write_text(CONFIG.replace("nx = 32", "nx = 48").replace("ny = 32", "ny = 40"))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
+    assert cli.main(["analyze", "--in", str(out), "--out", str(out)]) == 0
+    lines = (out / "report.csv").read_text().splitlines()
+    assert len(lines) == 3
+
+
+def test_analyze_without_conducting_path_is_numeric_failure(tmp_path, capsys):
+    # every cell is Al-rich and 1e-310 bonds underflow to zero conductance
+    ini = tmp_path / "dead.ini"
+    ini.write_text(CONFIG.replace("nx = 32", "nx = 16").replace("ny = 32", "ny = 16")
+                   + "\n[analysis]\nx_c = 0.99\nsigma_al = 1e-310\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
+    code = cli.main(["analyze", "--config", str(ini), "--in", str(out),
+                     "--out", str(out)])
+    assert code == 3
+    assert "Kirchhoff" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
 def test_analyze_missing_input_is_data_error(tmp_path):
     assert cli.main(["analyze", "--in", str(tmp_path / "nope.csv")]) == 2
     empty = tmp_path / "emptydir"
