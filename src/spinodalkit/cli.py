@@ -125,7 +125,11 @@ def _snapshot_paths(in_path: Path) -> list[tuple[float, Path]]:
             raise DataFormatError(f"{in_path}: no snap_t*.csv files found")
         return sorted(found)
     m = _SNAP_RE.match(in_path.name)
-    t = float(m.group(1)) if m else 0.0
+    try:
+        t = float(m.group(1)) if m else 0.0
+    except ValueError:
+        raise DataFormatError(f"{in_path}: snapshot time {m.group(1)!r} "
+                              "in the file name is not a number") from None
     return [(t, in_path)]
 
 

@@ -3,6 +3,7 @@ import pytest
 import scipy.ndimage
 from numpy.testing import assert_allclose
 
+from spinodalkit import analysis
 from spinodalkit.analysis import (REPORT_HEADER, ClusterLabeling,
                                   NoStructureError, Phase, PhaseMap,
                                   analyze_field, characteristic_length,
@@ -100,6 +101,27 @@ def test_label_clusters_matches_scipy():
             assert pairs.shape[1] == n_ref
 
 
+def test_label_clusters_row_major_first_touch_order():
+    # the right arm of the U (column 2) is reached by the scan before the
+    # two arms join, yet it carries the label of the U's first cell; the
+    # diagonal neighbours in the bottom-left corner stay apart
+    mask = np.array([[1, 0, 1, 0, 1],
+                     [1, 0, 1, 0, 1],
+                     [1, 1, 1, 0, 1],
+                     [0, 0, 0, 0, 1],
+                     [1, 0, 1, 1, 1],
+                     [0, 1, 0, 0, 0]])
+    expected = np.array([[1, 0, 1, 0, 2],
+                         [1, 0, 1, 0, 2],
+                         [1, 1, 1, 0, 2],
+                         [0, 0, 0, 0, 2],
+                         [3, 0, 2, 2, 2],
+                         [0, 4, 0, 0, 0]])
+    lab = label_clusters(pmap(mask))
+    assert np.array_equal(lab.labels, expected)
+    assert lab.sizes.tolist() == [7, 7, 1, 1]
+
+
 def test_labels_cover_phase_exactly():
     rng = np.random.default_rng(7)
     mask = rng.random((30, 30)) < 0.5
@@ -137,6 +159,32 @@ def test_percolation_threshold_small_grid():
     assert 0.0 < err < 0.02
     again = percolation_threshold_mc(L=32, trials=50, seed=3)
     assert again == (mean, err)
+
+
+def test_spanning_onset_is_exact():
+    # only column 5 holds values below 0.9, so the cells u <= v first span
+    # top to bottom when v reaches that column's maximum
+    rng = np.random.default_rng(11)
+    u = 0.9 + 0.1 * rng.random((32, 32))
+    column = 0.1 * rng.random(32)
+    u[:, 5] = column
+    assert analysis._spanning_onset(u) == column.max()
+
+
+def test_percolation_trials_of_nearby_seeds_are_independent(monkeypatch):
+    seen = []
+
+    def record(u):
+        seen.append(u.tobytes())
+        return float(u.mean())
+
+    monkeypatch.setattr(analysis, "_spanning_onset", record)
+    percolation_threshold_mc(L=32, trials=50, seed=3)
+    fields3, seen[:] = set(seen), []
+    percolation_threshold_mc(L=32, trials=50, seed=4)
+    fields4 = set(seen)
+    assert len(fields3) == len(fields4) == 50
+    assert not fields3 & fields4
 
 
 def test_percolation_threshold_validates_arguments():

@@ -165,6 +165,14 @@ def test_analyze_missing_input_is_data_error(tmp_path):
     assert cli.main(["analyze", "--in", str(empty)]) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "render"])
+def test_non_numeric_snapshot_time_is_data_error(tmp_path, capsys, command):
+    snap = tmp_path / "snap_tabc.csv"
+    write_snapshot_csv(ScalarField2D(GridSpec(4, 4), np.full((4, 4), 0.5)), snap)
+    assert cli.main([command, "--in", str(snap), "--out", str(tmp_path)]) == 2
+    assert "'abc'" in capsys.readouterr().err
+
+
 def test_transport_command(tmp_path, capsys):
     films = tmp_path / "films.csv"
     films.write_text("label,d_m,Rs_ohm_sq,Tc_K,hall_slope_ohm_per_T\n"
