@@ -138,18 +138,37 @@ def chemical_potential_field(f: ScalarField2D, model: GibbsModel, kappa: float) 
     return f.with_values(_chemical_potential(f.values, f.spec.h, model, kappa))
 
 
-def _chemical_potential(values: np.ndarray, h: float, model: GibbsModel,
-                        kappa: float) -> np.ndarray:
-    lap = _laplacian_values(values, h)
-    mu = dgibbs(model, values)
-    mu -= 2.0 * kappa * lap
+def _chemical_potential(values: np.ndarray, h: float, model: GibbsModel, kappa: float,
+                        out: np.ndarray | None = None, lap: np.ndarray | None = None,
+                        tmp: np.ndarray | None = None) -> np.ndarray:
+    """G'(x) - (2 kappa) lap(x) into `out`; `lap` and `tmp` are scratch.
+
+    Buffers left as None are allocated; none may overlap `values`.
+    """
+    lap = _laplacian_values(values, h, lap, tmp)
+    mu = dgibbs(model, values, out)
+    lap *= 2.0 * kappa
+    mu -= lap
     return mu
 
 
-def _euler_step(values: np.ndarray, h: float, model: GibbsModel, D: float,
-                kappa: float, dt: float) -> np.ndarray:
-    mu = _chemical_potential(values, h, model, kappa)
-    return values + (dt * D) * _laplacian_values(mu, h)
+def _euler_step(values: np.ndarray, h: float, model: GibbsModel, D: float, kappa: float,
+                dt: float, out: np.ndarray | None = None, lap: np.ndarray | None = None,
+                mu: np.ndarray | None = None) -> np.ndarray:
+    """x + (dt D) lap(mu) into `out`, with `lap` and `mu` as scratch.
+
+    `out` doubles as scratch until the last operation, so the step
+    allocates nothing when all three buffers are given.  Buffers left as
+    None are allocated; none may overlap `values`.
+    """
+    if out is None:
+        out = np.empty(values.shape)
+    if lap is None:
+        lap = np.empty(values.shape)
+    mu = _chemical_potential(values, h, model, kappa, mu, lap, out)
+    _laplacian_values(mu, h, lap, out)
+    lap *= dt * D
+    return np.add(values, lap, out=out)
 
 
 def _check_sane(values: np.ndarray, step: int, time: float) -> None:
@@ -219,7 +238,10 @@ def run(init: ScalarField2D, params: SolverParams, model: GibbsModel) -> Simulat
         n_steps = max(n_steps, params.n_steps)
 
     result = SimulationResult(dt=dt, n_steps=n_steps)
+    # The step reads `values` and writes `new_values`; the two swap after
+    # every accepted step, so the loop allocates nothing.
     values = init.values.copy()
+    new_values, lap, mu = (np.empty_like(values) for _ in range(3))
     h = spec.h
 
     def record(step: int, vals: np.ndarray) -> None:
@@ -232,14 +254,14 @@ def run(init: ScalarField2D, params: SolverParams, model: GibbsModel) -> Simulat
     record(0, values)
     snapshot(0, values)
     for step in range(1, n_steps + 1):
-        new_values = _euler_step(values, h, model, params.D, params.kappa, dt)
+        _euler_step(values, h, model, params.D, params.kappa, dt, new_values, lap, mu)
         try:
             _check_sane(new_values, step, step * dt)
         except StabilityError as err:
             err.partial = result
             err.last_stable = init.with_values(values)
             raise
-        values = new_values
+        values, new_values = new_values, values
         if step % params.diag_stride == 0 or step == n_steps or step in snap_steps:
             record(step, values)
         snapshot(step, values)

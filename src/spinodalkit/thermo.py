@@ -55,13 +55,26 @@ def gibbs(model: GibbsModel, x):
     return np.polynomial.polynomial.polyval(x, model.coeffs)
 
 
-def dgibbs(model: GibbsModel, x):
-    """G'(x); for the double well 4x^3 - 6x^2 + 2x."""
+def dgibbs(model: GibbsModel, x, out: np.ndarray | None = None):
+    """G'(x); for the double well x*(2 + x*(-6 + 4x)) = 4x^3 - 6x^2 + 2x.
+
+    With `out` (an array of x's shape, not overlapping x) the result is
+    written there and no array is allocated.
+    """
     x = np.asarray(x, dtype=np.float64)
     if model.form is GibbsForm.DOUBLE_WELL:
-        return x * (2.0 + x * (-6.0 + 4.0 * x))
+        out = np.multiply(x, 4.0, out=out)
+        out += -6.0
+        out *= x
+        out += 2.0
+        out *= x
+        return out
     c = np.polynomial.polynomial.polyder(model.coeffs)
-    return np.polynomial.polynomial.polyval(x, c)
+    val = np.polynomial.polynomial.polyval(x, c)
+    if out is None:
+        return val
+    out[...] = val
+    return out
 
 
 def d2gibbs(model: GibbsModel, x):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,15 @@ def config_path(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text(CONFIG)
     return p
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special costs ~0.3 s of start-up; only gaussian_field needs it
+    code = "import sys, spinodalkit.cli; print('scipy.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_no_command_is_usage_error():

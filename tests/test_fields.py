@@ -129,6 +129,29 @@ def test_laplacian_sums_to_zero_on_torus():
     assert abs(out.sum()) <= 1e-10 * v.size * np.abs(v).max()
 
 
+def _roll_laplacian(v, h):
+    """The np.roll formula, summed in the order the solver's results pin."""
+    out = np.roll(v, 1, axis=0)
+    out += np.roll(v, -1, axis=0)
+    out += np.roll(v, 1, axis=1)
+    out += np.roll(v, -1, axis=1)
+    out -= 4.0 * v
+    if h != 1.0:
+        out /= h * h
+    return out
+
+
+@pytest.mark.parametrize("h", [1.0, 1.3])
+@pytest.mark.parametrize("shape", [(4, 4), (5, 7), (7, 5), (24, 32)],
+                         ids=["4x4", "5x7", "7x5", "24x32"])
+def test_laplacian_is_bit_identical_to_roll_formula(shape, h):
+    rng = np.random.default_rng(8)
+    # mixed magnitudes make any change in summation order show in the bits
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    out = laplacian_periodic(ScalarField2D(GridSpec(shape[1], shape[0], h), v)).values
+    assert out.tobytes() == _roll_laplacian(v, h).tobytes()
+
+
 def test_field_stats_trivials():
     assert field_stats(ScalarField2D(GridSpec(4, 4), np.full((4, 4), 0.5))) == \
         (0.5, 0.0, 0.5, 0.5)
@@ -148,6 +171,17 @@ def test_snapshot_csv_round_trip_is_byte_identical(tmp_path):
     assert np.array_equal(g.values, f.values)
     write_snapshot_csv(g, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_snapshot_csv_bytes_match_per_element_repr(tmp_path):
+    awkward = [-0.0, 5e-324, 0.1, 1 / 3, 1e16, -2.5e-300]
+    v = np.array(awkward * 4).reshape(4, 6)
+    p = tmp_path / "snap.csv"
+    write_snapshot_csv(ScalarField2D(GridSpec(6, 4, h=0.1), v), p)
+    expected = "6,4,0.1\n" + "".join(
+        ",".join(repr(float(x)) for x in row) + "\n" for row in v)
+    assert p.read_bytes() == expected.encode("ascii")
+    assert "-0.0,5e-324,0.1,0.3333333333333333,1e+16,-2.5e-300" in p.read_text()
 
 
 def test_snapshot_csv_rejects_malformed_files(tmp_path):

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spinodalkit import cli
 from spinodalkit.fields import GridSpec, ScalarField2D, gaussian_field
 from spinodalkit.solver import (DIAG_HEADER, SolverParams, StabilityError,
                                 ch_step, chemical_potential_field, default_dt,
@@ -178,3 +181,74 @@ def test_diagnostics_csv_round_trip(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[2]) == res.diagnostics[0].mass
+
+
+def test_run_outputs_share_no_memory_and_stay_fixed():
+    f = gaussian_field(GridSpec(16, 16), 0.48, 1e-3, seed=8)
+    times = (0.0, 0.01, 0.02, 0.05)
+    res = run(f, SolverParams(snapshot_times=times), MODEL)
+    arrays = [res.snapshots[t].values for t in times] + [res.final.values]
+    for i, a in enumerate(arrays):
+        assert not np.shares_memory(a, f.values)
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    before = [a.copy() for a in arrays]
+    run(f, SolverParams(snapshot_times=times), MODEL)
+    for a, b in zip(arrays, before):
+        assert np.array_equal(a, b)
+    # each snapshot holds the field of its own step, not a later one
+    for t in times[1:]:
+        alone = run(f, SolverParams(snapshot_times=(t,)), MODEL)
+        assert np.array_equal(res.snapshots[t].values, alone.final.values)
+
+
+def test_stability_error_fields_share_no_memory_and_stay_fixed():
+    f = gaussian_field(GridSpec(32, 32), 0.48, 1e-3, seed=0)
+    params = SolverParams(dt=0.06, snapshot_times=(0.0, 0.06, 0.12, 600.0))
+    with pytest.raises(StabilityError) as info:
+        run(f, params, MODEL)
+    err = info.value
+    snaps = [err.partial.snapshots[t].values for t in (0.0, 0.06, 0.12)]
+    arrays = snaps + [err.last_stable.values]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    before = [a.copy() for a in arrays]
+    with pytest.raises(StabilityError):
+        run(f, params, MODEL)
+    for a, b in zip(arrays, before):
+        assert np.array_equal(a, b)
+    # last_stable is the field one step before the divergence
+    upto = run(f, SolverParams(dt=0.06, n_steps=err.step - 1, snapshot_times=()), MODEL)
+    assert np.array_equal(err.last_stable.values, upto.final.values)
+
+
+# sha256 of every `simulate` output as computed with the np.roll Laplacian
+# and the allocating step: any change in the order of floating-point
+# operations shows here.
+GOLDEN = {
+    "[grid]\nnx = 32\nny = 24\nh = 1.3\n[init]\nseed = 11\n"
+    "[solver]\nsnapshot_times = 0, 2, 5\ndiag_stride = 50\n": {
+        "diagnostics.csv": "a89dfb1f2083f431cdacb334df0d5222f57ff7342ca51cb99bf7ff852b69e561",
+        "snap_t0.csv": "2b5d77461e81bd99ee7091c8b13cc280df85f4f584073d952f0009d8e629c13f",
+        "snap_t2.csv": "571fdcebe2b1c120bc5938e3b24699d864fadbd9d27568e019d9eddf9a50ef0a",
+        "snap_t5.csv": "d6db8ce224a1b3d9152f8783e5c57e8a89923ca5dceabb6a484ea520f1e1657c",
+    },
+    "[grid]\nnx = 16\nny = 16\n[init]\nseed = 3\n"
+    "[solver]\nsnapshot_times = 0, 1, 3\ndiag_stride = 100\n": {
+        "diagnostics.csv": "2a60b3eebde1329b04905c4fdea6dcb330d86685a5e70b58078e12402ee4131d",
+        "snap_t0.csv": "f11567fe9b77dd5ef07fa41ac5fb9ac65f84a8599d7781fd38574d13aa586ba7",
+        "snap_t1.csv": "d0fa5348384ff5ca627b57cc1f590d45cdba780928ca9372f19650c3c7f8741e",
+        "snap_t3.csv": "ed2f0025edda07b82b8f1b9ad6993c8daff08dd0a41e997a204ad4ba512a41b7",
+    },
+}
+
+
+@pytest.mark.parametrize("config", list(GOLDEN), ids=["32x24_h1.3", "16x16"])
+def test_simulate_outputs_match_golden_hashes(tmp_path, config):
+    ini = tmp_path / "run.ini"
+    ini.write_text(config)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == GOLDEN[config]

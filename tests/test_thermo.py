@@ -54,6 +54,16 @@ def test_spinodal_endpoints_are_inflection_points():
     assert (d2gibbs(DW, inside) < 0).all()
 
 
+@pytest.mark.parametrize(
+    "model", [DW, GibbsModel(GibbsForm.POLYNOMIAL, (0.0, 0.0, 1.0, -2.0, 1.0))],
+    ids=["double-well", "polynomial"])
+def test_dgibbs_into_out_matches_allocating_call(model):
+    x = np.random.default_rng(4).uniform(-0.5, 1.5, (6, 9))
+    buf = np.empty_like(x)
+    assert dgibbs(model, x, out=buf) is buf
+    assert np.array_equal(buf, dgibbs(model, x))
+
+
 def test_polynomial_form_reproduces_double_well():
     # x^2 (1-x)^2 = x^2 - 2 x^3 + x^4
     poly = GibbsModel(GibbsForm.POLYNOMIAL, (0.0, 0.0, 1.0, -2.0, 1.0))
