@@ -11,6 +11,8 @@ are byte-identical across repeated runs and across --threads values.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import re
 import sys
@@ -50,6 +52,16 @@ def _positive_int(s: str) -> int:
     return v
 
 
+def _positive_float(s: str) -> float:
+    try:
+        v = float(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {s!r}")
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {s}")
+    return v
+
+
 def _resolve_threads(value: int | None) -> int:
     """--threads, else SPINODALKIT_THREADS, else 1.  The cap never changes
     results; it only bounds worker counts where modules parallelize."""
@@ -81,7 +93,6 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_run_config(args)
-    _resolve_threads(args.threads)
     out = _out_dir(cfg)
     spec = GridSpec(cfg.nx, cfg.ny, cfg.h)
     init = gaussian_field(spec, cfg.mean, cfg.variance, cfg.seed)
@@ -135,7 +146,6 @@ def _snapshot_paths(in_path: Path) -> list[tuple[float, Path]]:
 
 def _cmd_analyze(args) -> int:
     cfg = _load_run_config(args)
-    _resolve_threads(args.threads)
     out = _out_dir(cfg)
     rows = []
     for t, path in _snapshot_paths(Path(args.in_path)):
@@ -261,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         infile=True)
     p_hc2 = add("fit-hc2", _cmd_fit_hc2, "fit an Hc2(T) trace", infile=True)
     p_hc2.add_argument("--model", choices=("gl", "powerlaw"), default="gl")
-    p_hc2.add_argument("--tc", type=float,
+    p_hc2.add_argument("--tc", type=_positive_float,
                        help="fixed T_c for the power-law model (K)")
     add("fit-resonance", _cmd_fit_resonance, "fit a complex S21 trace",
         infile=True)
@@ -271,10 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on the first call, then reused, since
+    building the subcommand tree costs about as much as a film-data command."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        _resolve_threads(args.threads)
         return args.func(args)
     except (ConfigError, DataFormatError, FileNotFoundError, IsADirectoryError,
             PermissionError) as err:

@@ -1,13 +1,17 @@
+import contextlib
+import hashlib
+import io
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from spinodalkit import cli
 from spinodalkit.fields import GridSpec, ScalarField2D, write_snapshot_csv
-from spinodalkit.fitting import model_gl_hc2, model_inv_s21
+from spinodalkit.fitting import model_gl_hc2, model_inv_s21, model_powerlaw_hc2
 
 CONFIG = """
 [grid]
@@ -27,6 +31,70 @@ def config_path(tmp_path):
     return p
 
 
+def _write_table(path, header, *columns):
+    rows = zip(*columns)
+    path.write_text(header + "\n" + "".join(
+        ",".join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n"
+        for row in rows))
+    return str(path)
+
+
+def _film_commands(d):
+    """argv (without --out) of the five film-data commands, on inputs built
+    from fixed-seed numpy data in directory d."""
+    rng = np.random.default_rng(20211)
+    films = _write_table(
+        d / "films.csv", "label,d_m,Rs_ohm_sq,Tc_K,hall_slope_ohm_per_T",
+        ["tin", "tial_a", "tial_b"], rng.uniform(20e-9, 150e-9, 3),
+        rng.uniform(5.0, 300.0, 3), rng.uniform(1.0, 5.0, 3),
+        rng.uniform(1e-4, 1e-2, 3))
+    T = np.linspace(0.1, 3.1, 20)
+    gl = _write_table(d / "hc2_gl.csv", "T_K,muH_T", T,
+                      model_gl_hc2(T, 7.7e-9, 3.2)
+                      * (1 + 0.005 * rng.standard_normal(T.size)))
+    T = np.linspace(0.1, 3.7, 60)
+    pl = _write_table(d / "hc2_pl.csv", "T_K,muH_T", T,
+                      model_powerlaw_hc2(T, 2.5, 3.5, 1.1, 3.8)
+                      * (1 + 0.005 * rng.standard_normal(T.size)))
+    qi, qc, phi, f0 = 2.2e5, 1e5, 0.1, 6e9
+    f = np.linspace(f0 - 5 * f0 / qi, f0 + 5 * f0 / qi, 201)
+    inv = model_inv_s21(f, qi, qc, phi, f0) + 2e-4 * (
+        rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
+    s21 = _write_table(d / "s21.csv", "f_Hz,re_S21,im_S21", f,
+                       (1 / inv).real, (1 / inv).imag)
+    T = np.arange(5.0, 305.0, 5.0)
+    sigma = np.where(T >= 80.0, 40.0 + 0.12 * T, 9.0 + 3.0 * np.sqrt(T))
+    sig = _write_table(d / "sigma.csv", "T_K,sigma", T,
+                       sigma * (1 + 0.001 * rng.standard_normal(T.size)))
+    return {
+        "transport": ["transport", "--in", films],
+        "fit-hc2": ["fit-hc2", "--in", gl],
+        "fit-hc2-powerlaw": ["fit-hc2", "--in", pl, "--model", "powerlaw",
+                             "--tc", "3.8"],
+        "fit-resonance": ["fit-resonance", "--in", s21],
+        "fit-sigma": ["fit-sigma", "--in", sig],
+    }
+
+
+# sha256 of the film-data reports as written before the parser was cached:
+# parsing must not change a byte of what the commands write.
+FILM_GOLDEN = {
+    "fit_hc2_gl.csv": "03682c20a6ebccb9790137f459fdef26cd75e2ff64557a917acae3a4b22a80ea",
+    "fit_hc2_powerlaw.csv": "aa9d6933ffbf4095b58399ebdfa5fe972caa536062ad8ff2b63e71fa6b36253c",
+    "fit_resonance.csv": "41205ae3b1347cc0ac5764921c7e84c560b12128dbe59cc1bf5cb914fc3014ae",
+    "fit_sigma.csv": "b1ec09210863c5e33e0d7a61f6337dd86bcba84006d35306321bb1fcd54cb38a",
+    "transport_report.csv": "bda6cb3a2932799e9ec979054c619afeab9fa22541853e8dad89a2914c31b36a",
+}
+
+
+def test_film_data_outputs_match_golden_hashes(tmp_path):
+    out = tmp_path / "out"
+    for argv in _film_commands(tmp_path).values():
+        assert cli.main([*argv, "--out", str(out)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == FILM_GOLDEN
+
+
 def test_cli_import_leaves_scipy_special_unloaded():
     # scipy.special costs ~0.3 s of start-up; only gaussian_field needs it
     code = "import sys, spinodalkit.cli; print('scipy.special' in sys.modules)"
@@ -34,6 +102,88 @@ def test_cli_import_leaves_scipy_special_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_parser_is_built_on_first_main_call_then_reused(tmp_path):
+    # counts argparse parsers constructed: none at import, one tree for
+    # several main() calls, and a fresh tree from every build_parser()
+    code = textwrap.dedent("""
+        import argparse, sys
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting_init
+        from spinodalkit import cli
+        n_import = len(built)
+        codes = [cli.main(["fit-sigma", "--in", sys.argv[1]]) for _ in range(3)]
+        n_main = len(built)
+        assert cli.build_parser() is not cli.build_parser()
+        print(n_import, n_main, (len(built) - n_main) // 2, codes)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "none.csv")],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    n_import, n_main, per_tree, codes = out.split(" ", 3)
+    assert n_import == "0"
+    assert int(n_main) == int(per_tree) > 0
+    assert codes.strip() == "[2, 2, 2]"
+
+
+def _run_calls(calls, root, capsys):
+    """Each call's exit code, stdout, stderr and written files, with the
+    output root masked so that two roots compare equal."""
+    results = []
+    for i, argv in enumerate(calls):
+        out = root / str(i)
+        try:
+            code = cli.main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        std = capsys.readouterr()
+        files = ({p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                 if out.is_dir() else {})
+        results.append((code, std.out.replace(str(root), "<root>"),
+                        std.err.replace(str(root), "<root>"), files))
+    return results
+
+
+def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    film = _film_commands(tmp_path)
+    good = tmp_path / "good.ini"
+    good.write_text(CONFIG)
+    bad = tmp_path / "bad.ini"
+    bad.write_text(CONFIG + "dt = 0.5\n")
+    calls = [
+        film["fit-hc2-powerlaw"],
+        film["fit-hc2"],
+        film["fit-hc2-powerlaw"][:-2],  # --tc dropped: the command refuses
+        ["simulate", "--config", str(bad), "--seed", "5", "--force-dt"],
+        ["simulate", "--seed", "five"],
+        ["simulate", "--config", str(bad)],
+        ["simulate", "--config", str(good)],
+        film["transport"],
+    ]
+    cli._parser.cache_clear()
+    with contextlib.redirect_stderr(io.StringIO()):
+        cli._parser()  # usage errors must go to sys.stderr as of the call
+    reused = _run_calls(calls, tmp_path / "reused", capsys)
+    assert [r[0] for r in reused] == [0, 0, 1, 3, 1, 3, 0, 0]
+    assert reused[4][2].startswith("usage: spinodalkit simulate")
+    assert "argument --seed: invalid int value: 'five'" in reused[4][2]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert _run_calls(calls, tmp_path / "fresh", capsys) == reused
+
+
+def test_main_reads_sys_argv_at_call_time(tmp_path, monkeypatch):
+    film = _film_commands(tmp_path)
+    for name in ("fit-sigma", "transport"):
+        monkeypatch.setattr(sys, "argv",
+                            ["spinodalkit", *film[name], "--out", str(tmp_path / name)])
+        assert cli.main() == 0
+    assert (tmp_path / "fit-sigma" / "fit_sigma.csv").exists()
+    assert (tmp_path / "transport" / "transport_report.csv").exists()
 
 
 def test_no_command_is_usage_error():
@@ -120,6 +270,27 @@ def test_threads_env_var(tmp_path, config_path, monkeypatch):
     monkeypatch.setenv("SPINODALKIT_THREADS", "4")
     assert cli.main(["simulate", "--config", str(config_path),
                      "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "transport", "fit-hc2",
+                                     "fit-resonance", "fit-sigma", "render"])
+def test_threads_env_var_is_checked_by_every_command(
+        tmp_path, config_path, monkeypatch, capsys, command):
+    snap = tmp_path / "snap_t1.csv"
+    rng = np.random.default_rng(7)
+    write_snapshot_csv(ScalarField2D(GridSpec(16, 16), rng.uniform(0, 1, (16, 16))),
+                       snap)
+    argv = {**_film_commands(tmp_path),
+            "simulate": ["simulate", "--config", str(config_path)],
+            "analyze": ["analyze", "--in", str(snap)],
+            "render": ["render", "--in", str(snap)]}[command]
+    out = tmp_path / "out"
+    monkeypatch.setenv("SPINODALKIT_THREADS", "abc")
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert "SPINODALKIT_THREADS must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setenv("SPINODALKIT_THREADS", "2")
+    assert cli.main([*argv, "--out", str(out)]) == 0
 
 
 def test_analyze_snapshot_directory(tmp_path, config_path, capsys):
@@ -224,6 +395,17 @@ def test_fit_hc2_powerlaw_needs_tc(tmp_path, capsys):
                      "--tc", "3.2", "--out", str(tmp_path)])
     assert code in (0, 3)  # tiny trace may legitimately not converge
     assert (tmp_path / "fit_hc2_powerlaw.csv").exists()
+
+
+@pytest.mark.parametrize("tc", ["-1", "0", "nan", "inf"])
+def test_fit_hc2_tc_must_be_positive_and_finite(tmp_path, capsys, tc):
+    argv = _film_commands(tmp_path)["fit-hc2-powerlaw"][:-1] + [tc]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, "--out", str(out)])
+    assert info.value.code == 1
+    assert "argument --tc: must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_resonance_command(tmp_path):
