@@ -10,20 +10,18 @@ for critical-field and resonator data, all tied together by the
 """
 
 from .fields import (GridSpec, ScalarField2D, field_stats, gaussian_field,
-                     laplacian_periodic, read_snapshot_csv, write_snapshot_csv)
+                     read_snapshot_csv, write_snapshot_csv)
 from .thermo import (GibbsForm, GibbsModel, d2gibbs, dgibbs, free_energy,
                      gibbs, spinodal_interval)
-from .solver import (SolverParams, SolverState, StabilityError, ch_step,
-                     initial_state, run)
+from .solver import SolverParams, StabilityError, run
 
 __version__ = "0.1.0"
 
 __all__ = [
     "GridSpec", "ScalarField2D", "field_stats", "gaussian_field",
-    "laplacian_periodic", "read_snapshot_csv", "write_snapshot_csv",
+    "read_snapshot_csv", "write_snapshot_csv",
     "GibbsForm", "GibbsModel", "d2gibbs", "dgibbs", "free_energy", "gibbs",
     "spinodal_interval",
-    "SolverParams", "SolverState", "StabilityError", "ch_step",
-    "initial_state", "run",
+    "SolverParams", "StabilityError", "run",
     "__version__",
 ]

@@ -16,7 +16,6 @@ __all__ = [
     "GridSpec",
     "ScalarField2D",
     "gaussian_field",
-    "laplacian_periodic",
     "field_stats",
     "write_snapshot_csv",
     "read_snapshot_csv",
@@ -103,8 +102,8 @@ def gaussian_field(spec: GridSpec, mean: float, variance: float, seed: int) -> S
     return ScalarField2D(spec, values.reshape(spec.ny, spec.nx))
 
 
-def _laplacian_values(v: np.ndarray, h: float, out: np.ndarray | None = None,
-                      tmp: np.ndarray | None = None) -> np.ndarray:
+def _laplacian_values(v: np.ndarray, h: float, out: np.ndarray,
+                      tmp: np.ndarray) -> np.ndarray:
     """5-point periodic Laplacian of a C-contiguous (ny, nx) array, into `out`.
 
     The sum is ((((v[i-1] + v[i+1]) + v[j-1]) + v[j+1]) - 4 v) / h^2 in that
@@ -113,13 +112,9 @@ def _laplacian_values(v: np.ndarray, h: float, out: np.ndarray | None = None,
     row slabs, then west and east as shifts by one element of the flattened
     array.  Those shifts wrap each row's edge columns into the neighbouring
     row, so both edge columns are rebuilt from their saved north+south sums.
-    `out` (C-contiguous) and `tmp` (scratch for 4v) are allocated when not
-    given; neither may overlap `v`.
+    `out` must be C-contiguous and `tmp` is scratch for 4v; neither may
+    overlap `v`.
     """
-    if out is None:
-        out = np.empty(v.shape)
-    if tmp is None:
-        tmp = np.empty(v.shape)
     np.add(v[:-2], v[2:], out=out[1:-1])
     np.add(v[-1], v[1], out=out[0])
     np.add(v[-2], v[0], out=out[-1])
@@ -137,11 +132,6 @@ def _laplacian_values(v: np.ndarray, h: float, out: np.ndarray | None = None,
     if h != 1.0:
         out /= h * h
     return out
-
-
-def laplacian_periodic(f: ScalarField2D) -> ScalarField2D:
-    """(f[i+1,j] + f[i-1,j] + f[i,j+1] + f[i,j-1] - 4 f[i,j]) / h^2 with periodic wrap."""
-    return f.with_values(_laplacian_values(f.values, f.spec.h))
 
 
 def field_stats(f: ScalarField2D) -> tuple[float, float, float, float]:
@@ -171,9 +161,10 @@ def read_snapshot_csv(path) -> ScalarField2D:
         if len(parts) != 3:
             raise DataFormatError(f"{path}: malformed snapshot header {header!r}")
         try:
-            nx, ny, h = int(parts[0]), int(parts[1]), float(parts[2])
+            spec = GridSpec(int(parts[0]), int(parts[1]), float(parts[2]))
         except ValueError as exc:
-            raise DataFormatError(f"{path}: malformed snapshot header {header!r}") from exc
+            raise DataFormatError(f"{path}: malformed snapshot header {header!r}: {exc}") from exc
+        nx, ny = spec.nx, spec.ny
         values = np.empty((ny, nx), dtype=np.float64)
         for i in range(ny):
             line = fh.readline()
@@ -186,4 +177,7 @@ def read_snapshot_csv(path) -> ScalarField2D:
             if row.size != nx:
                 raise DataFormatError(f"{path}: row {i} has {row.size} values, expected {nx}")
             values[i] = row
-    return ScalarField2D(GridSpec(nx, ny, h), values)
+    try:
+        return ScalarField2D(spec, values)
+    except ValueError as exc:   # non-finite values
+        raise DataFormatError(f"{path}: {exc}") from exc

@@ -27,15 +27,11 @@ from .thermo import GibbsModel, dgibbs, free_energy
 
 __all__ = [
     "SolverParams",
-    "SolverState",
     "DiagnosticsRecord",
     "SimulationResult",
     "StabilityError",
     "default_dt",
     "max_stable_dt",
-    "chemical_potential_field",
-    "initial_state",
-    "ch_step",
     "run",
     "snapshot_filename",
     "write_diagnostics_csv",
@@ -104,16 +100,6 @@ class DiagnosticsRecord:
     max: float
 
 
-@dataclass(frozen=True)
-class SolverState:
-    """One point along a trajectory; t is always step*dt by construction."""
-
-    field: ScalarField2D
-    t: float
-    step: int
-    diagnostics: tuple[DiagnosticsRecord, ...]
-
-
 @dataclass
 class SimulationResult:
     snapshots: dict[float, ScalarField2D] = field(default_factory=dict)
@@ -133,17 +119,11 @@ def max_stable_dt(h: float, D: float, kappa: float) -> float:
     return h ** 4 / (16.0 * D * kappa)
 
 
-def chemical_potential_field(f: ScalarField2D, model: GibbsModel, kappa: float) -> ScalarField2D:
-    """mu_chem = G'(x) - 2 kappa lap(x) on f's grid."""
-    return f.with_values(_chemical_potential(f.values, f.spec.h, model, kappa))
-
-
 def _chemical_potential(values: np.ndarray, h: float, model: GibbsModel, kappa: float,
-                        out: np.ndarray | None = None, lap: np.ndarray | None = None,
-                        tmp: np.ndarray | None = None) -> np.ndarray:
+                        out: np.ndarray, lap: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """G'(x) - (2 kappa) lap(x) into `out`; `lap` and `tmp` are scratch.
 
-    Buffers left as None are allocated; none may overlap `values`.
+    None of the buffers may overlap `values`.
     """
     lap = _laplacian_values(values, h, lap, tmp)
     mu = dgibbs(model, values, out)
@@ -153,18 +133,12 @@ def _chemical_potential(values: np.ndarray, h: float, model: GibbsModel, kappa: 
 
 
 def _euler_step(values: np.ndarray, h: float, model: GibbsModel, D: float, kappa: float,
-                dt: float, out: np.ndarray | None = None, lap: np.ndarray | None = None,
-                mu: np.ndarray | None = None) -> np.ndarray:
+                dt: float, out: np.ndarray, lap: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """x + (dt D) lap(mu) into `out`, with `lap` and `mu` as scratch.
 
-    `out` doubles as scratch until the last operation, so the step
-    allocates nothing when all three buffers are given.  Buffers left as
-    None are allocated; none may overlap `values`.
+    `out` doubles as scratch until the last operation.  None of the
+    buffers may overlap `values`.
     """
-    if out is None:
-        out = np.empty(values.shape)
-    if lap is None:
-        lap = np.empty(values.shape)
     mu = _chemical_potential(values, h, model, kappa, mu, lap, out)
     _laplacian_values(mu, h, lap, out)
     lap *= dt * D
@@ -187,25 +161,6 @@ def _diag(vals: np.ndarray, template: ScalarField2D, step: int, dt: float,
         mass=float(vals.mean()),
         free_energy=free_energy(template.with_values(vals), model, kappa),
         min=float(vals.min()), max=float(vals.max()))
-
-
-def initial_state(f: ScalarField2D, params: SolverParams, model: GibbsModel) -> SolverState:
-    dt = params.resolve_dt(f.spec.h)
-    rec = _diag(f.values, f, 0, dt, model, params.kappa)
-    return SolverState(field=f, t=0.0, step=0, diagnostics=(rec,))
-
-
-def ch_step(state: SolverState, params: SolverParams, model: GibbsModel) -> SolverState:
-    """Advance one step, appending a diagnostics record; pure (new state)."""
-    f = state.field
-    dt = params.resolve_dt(f.spec.h)
-    _guard_dt(dt, f.spec.h, params)
-    new_vals = _euler_step(f.values, f.spec.h, model, params.D, params.kappa, dt)
-    step = state.step + 1
-    _check_sane(new_vals, step, step * dt)
-    rec = _diag(new_vals, f, step, dt, model, params.kappa)
-    return SolverState(field=f.with_values(new_vals), t=step * dt, step=step,
-                       diagnostics=state.diagnostics + (rec,))
 
 
 def _guard_dt(dt: float, h: float, params: SolverParams) -> None:

@@ -357,6 +357,24 @@ def test_non_numeric_snapshot_time_is_data_error(tmp_path, capsys, command):
     assert "'abc'" in capsys.readouterr().err
 
 
+ROW = "0.5,0.5,0.5,0.5\n"
+INVALID_SNAPSHOTS = {
+    "grid_too_small": "2,2,1.0\n0.5,0.5\n0.5,0.5\n",
+    "zero_spacing": "4,4,0.0\n" + ROW * 4,
+    "negative_rows": "4,-4,1.0\n" + ROW * 4,
+    "nan_value": "4,4,1.0\n" + ROW * 3 + "0.5,nan,0.5,0.5\n",
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "render"])
+@pytest.mark.parametrize("content", list(INVALID_SNAPSHOTS.values()), ids=list(INVALID_SNAPSHOTS))
+def test_invalid_snapshot_is_data_error(tmp_path, capsys, command, content):
+    snap = tmp_path / "snap_t0.csv"
+    snap.write_text(content)
+    assert cli.main([command, "--in", str(snap), "--out", str(tmp_path)]) == 2
+    assert str(snap) in capsys.readouterr().err
+
+
 def test_transport_command(tmp_path, capsys):
     films = tmp_path / "films.csv"
     films.write_text("label,d_m,Rs_ohm_sq,Tc_K,hall_slope_ohm_per_T\n"

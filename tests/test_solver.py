@@ -7,12 +7,16 @@ from numpy.testing import assert_allclose
 from spinodalkit import cli
 from spinodalkit.fields import GridSpec, ScalarField2D, gaussian_field
 from spinodalkit.solver import (DIAG_HEADER, SolverParams, StabilityError,
-                                ch_step, chemical_potential_field, default_dt,
-                                initial_state, max_stable_dt, run,
-                                snapshot_filename, write_diagnostics_csv)
+                                _chemical_potential, default_dt, max_stable_dt,
+                                run, snapshot_filename, write_diagnostics_csv)
 from spinodalkit.thermo import GibbsModel, d2gibbs, dgibbs, free_energy
 
 MODEL = GibbsModel()
+
+
+def chemical_potential(v, h, kappa):
+    out, lap, tmp = (np.empty(v.shape) for _ in range(3))
+    return _chemical_potential(v, h, MODEL, kappa, out, lap, tmp)
 
 
 def test_dt_defaults():
@@ -70,43 +74,36 @@ def test_abort_carries_partial_result_and_last_stable_field():
 
 def test_chemical_potential_of_uniform_field():
     c = 0.3
-    f = ScalarField2D(GridSpec(8, 8), np.full((8, 8), c))
-    mu = chemical_potential_field(f, MODEL, kappa=1.0)
-    assert_allclose(mu.values, float(dgibbs(MODEL, c)), rtol=1e-14)
-    half = ScalarField2D(GridSpec(8, 8), np.full((8, 8), 0.5))
-    assert np.array_equal(
-        chemical_potential_field(half, MODEL, kappa=1.0).values,
-        np.zeros((8, 8)))
+    mu = chemical_potential(np.full((8, 8), c), 1.0, kappa=1.0)
+    assert_allclose(mu, float(dgibbs(MODEL, c)), rtol=1e-14)
+    half = chemical_potential(np.full((8, 8), 0.5), 1.0, kappa=1.0)
+    assert np.array_equal(half, np.zeros((8, 8)))
 
 
 def test_chemical_potential_linearized_about_half():
     nx, ny, eps, kappa = 64, 8, 1e-6, 1.3
     i = np.arange(nx)
     c = np.tile(np.cos(2 * np.pi * i / nx), (ny, 1))
-    f = ScalarField2D(GridSpec(nx, ny), 0.5 + eps * c)
     q1 = 2.0 - 2.0 * np.cos(2 * np.pi / nx)  # stencil eigenvalue at h=1
     expected = (d2gibbs(MODEL, 0.5) + 2.0 * kappa * q1) * eps * c
-    mu = chemical_potential_field(f, MODEL, kappa).values
+    mu = chemical_potential(0.5 + eps * c, 1.0, kappa)
     assert_allclose(mu, expected, rtol=1e-4, atol=1e-15)
 
 
 def test_single_step_conserves_mean():
     f = gaussian_field(GridSpec(64, 64), 0.48, 1e-3, seed=1)
-    state = initial_state(f, SolverParams(), MODEL)
-    stepped = ch_step(state, SolverParams(), MODEL)
+    res = run(f, SolverParams(n_steps=1, snapshot_times=()), MODEL)
     m0 = f.values.mean()
-    assert abs(stepped.field.values.mean() - m0) <= 1e-13 * abs(m0)
-    assert stepped.step == 1
-    assert stepped.t == stepped.step * SolverParams().resolve_dt(1.0)
-    assert len(stepped.diagnostics) == 2
+    assert abs(res.final.values.mean() - m0) <= 1e-13 * abs(m0)
+    assert res.n_steps == 1
+    assert [d.step for d in res.diagnostics] == [0, 1]
+    assert res.diagnostics[1].time == SolverParams().resolve_dt(1.0)
 
 
 def test_uniform_field_is_a_fixed_point():
     f = ScalarField2D(GridSpec(16, 16), np.full((16, 16), 0.37))
-    state = initial_state(f, SolverParams(), MODEL)
-    for _ in range(3):
-        state = ch_step(state, SolverParams(), MODEL)
-    assert_allclose(state.field.values, 0.37, rtol=0, atol=1e-15)
+    res = run(f, SolverParams(n_steps=3, snapshot_times=()), MODEL)
+    assert_allclose(res.final.values, 0.37, rtol=0, atol=1e-15)
 
 
 def test_energy_decreases_over_100_steps():
@@ -146,14 +143,12 @@ def test_run_is_deterministic():
     assert np.array_equal(a.final.values, b.final.values)
 
 
-def test_state_api_matches_batch_run():
+def test_restarted_run_continues_the_trajectory_exactly():
     f = gaussian_field(GridSpec(16, 16), 0.48, 1e-3, seed=5)
-    params = SolverParams(snapshot_times=())
-    state = initial_state(f, params, MODEL)
-    for _ in range(7):
-        state = ch_step(state, params, MODEL)
-    res = run(f, SolverParams(n_steps=7, snapshot_times=()), MODEL)
-    assert np.array_equal(state.field.values, res.final.values)
+    first = run(f, SolverParams(n_steps=3, snapshot_times=()), MODEL)
+    rest = run(first.final, SolverParams(n_steps=4, snapshot_times=()), MODEL)
+    whole = run(f, SolverParams(n_steps=7, snapshot_times=()), MODEL)
+    assert np.array_equal(rest.final.values, whole.final.values)
 
 
 def test_mirrored_initial_conditions_evolve_mirrored():
