@@ -163,20 +163,42 @@ def spans(labeling: ClusterLabeling, axis: str) -> bool:
     return _labels_span(labeling.labels, axis)
 
 
-def _spanning_onset(u: np.ndarray) -> float:
-    """Smallest value v of u such that the cells with u <= v span top to
-    bottom.  Spanning is monotone in v, so bisecting over the sorted values
-    finds the exact onset (Newman & Ziff, PRL 85, 4104 (2000))."""
+# Cells labelled by one ndimage.label call in percolation_threshold_mc; at
+# L=64 the per-call Python overhead outweighs the labelling itself, so trials
+# are stacked up to this size (a trial larger than it is labelled alone)
+_LABEL_CHUNK_CELLS = 2 ** 16
+
+
+def _spanning_onsets(u: np.ndarray) -> np.ndarray:
+    """For each field u[i] of a (k, ny, nx) stack, the smallest value v of
+    u[i] such that the cells with u[i] <= v span top to bottom.
+
+    Spanning is monotone in v, so bisecting over each field's sorted values
+    finds the exact onset (Newman & Ziff, PRL 85, 4104 (2000)).  All k
+    bisections run in lockstep: each step labels the whole stacked mask in
+    one ndimage.label call whose structure connects cells within a field
+    only, never across fields.
+    """
     from scipy import ndimage
-    v = np.sort(u.ravel())
-    lo, hi = 0, v.size - 1          # u <= v[-1] occupies every cell and spans
-    while lo < hi:
+    k = u.shape[0]
+    v = np.sort(u.reshape(k, -1), axis=1)
+    rows = np.arange(k)
+    lo = np.zeros(k, dtype=np.intp)
+    hi = np.full(k, v.shape[1] - 1)   # u <= max(u) occupies every cell and spans
+    structure = np.zeros((3, 3, 3), dtype=bool)
+    structure[1] = ndimage.generate_binary_structure(2, 1)
+    while (active := lo < hi).any():
         mid = (lo + hi) // 2
-        if _labels_span(ndimage.label(u <= v[mid])[0], "y"):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(v[lo])
+        labels, n = ndimage.label(u <= v[rows, mid][:, None, None], structure)
+        # labels are unique across the stack, so a bottom-row label that is
+        # also on some top row is on its own field's top row
+        on_top = np.zeros(n + 1, dtype=bool)
+        on_top[labels[:, 0, :]] = True
+        on_top[0] = False
+        span = on_top[labels[:, -1, :]].any(axis=1)
+        hi = np.where(active & span, mid, hi)
+        lo = np.where(active & ~span, mid + 1, lo)
+    return v[rows, lo]
 
 
 def percolation_threshold_mc(L: int, trials: int, seed: int) -> tuple[float, float]:
@@ -185,15 +207,23 @@ def percolation_threshold_mc(L: int, trials: int, seed: int) -> tuple[float, flo
     Each trial draws one uniform field u from its own child of
     SeedSequence(seed), so runs with different seeds share no trials.  The
     trial's estimate is the exact top-to-bottom spanning onset of u (see
-    _spanning_onset).  Returns the trial mean and its standard error.
+    _spanning_onsets, which takes the trials in stacks).  Returns the trial
+    mean and its standard error.
     """
     if L < 32:
         raise ValueError(f"grid size must be >= 32, got {L}")
     if trials < 50:
         raise ValueError(f"trial count must be >= 50, got {trials}")
-    estimates = np.array([
-        _spanning_onset(np.random.default_rng(child).random((L, L)))
-        for child in np.random.SeedSequence(seed).spawn(trials)])
+    children = np.random.SeedSequence(seed).spawn(trials)
+    per_stack = max(1, _LABEL_CHUNK_CELLS // (L * L))
+    onsets = []
+    for start in range(0, trials, per_stack):
+        chunk = children[start:start + per_stack]
+        u = np.empty((len(chunk), L, L))
+        for trial, child in zip(u, chunk):
+            np.random.default_rng(child).random(out=trial)
+        onsets.append(_spanning_onsets(u))
+    estimates = np.concatenate(onsets)
     p_hat = float(estimates.mean())
     stderr = float(estimates.std(ddof=1) / math.sqrt(trials))
     return p_hat, stderr

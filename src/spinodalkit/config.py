@@ -1,14 +1,15 @@
 """Run configuration: INI-style text with `[section]` headers and
 `key = value` lines.
 
-The parser is intentionally strict — unknown sections or keys and
-out-of-range values are rejected with the offending line number, so a
-typo'd key can never silently fall back to a default.  Full-line comments
-start with '#' or ';'.
+The parser is intentionally strict — unknown sections or keys, non-finite
+numbers and out-of-range values are rejected with the offending line
+number, so a typo'd key can never silently fall back to a default.
+Full-line comments start with '#' or ';'.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as dc_fields
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config",
@@ -57,11 +58,14 @@ def _parse_int(s: str) -> int:
 
 
 def _parse_float(s: str) -> float:
-    return float(s)
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value {s!r}")
+    return v
 
 
 def _parse_auto_float(s: str):
-    return None if s.strip().lower() == "auto" else float(s)
+    return None if s.strip().lower() == "auto" else _parse_float(s)
 
 
 def _parse_opt_int(s: str):
@@ -72,7 +76,7 @@ def _parse_times(s: str) -> tuple[float, ...]:
     parts = [p for p in s.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty time list")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 def _parse_str(s: str) -> str:

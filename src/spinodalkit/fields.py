@@ -7,6 +7,7 @@ divergence-form updates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +40,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < MIN_GRID or self.ny < MIN_GRID:
             raise ValueError(f"grid must be at least {MIN_GRID}x{MIN_GRID}, got {self.nx}x{self.ny}")
-        if not self.h > 0:
-            raise ValueError(f"cell spacing must be positive, got {self.h}")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"cell spacing must be positive and finite, got {self.h}")
 
     @property
     def n_cells(self) -> int:
@@ -165,7 +166,9 @@ def read_snapshot_csv(path) -> ScalarField2D:
         except ValueError as exc:
             raise DataFormatError(f"{path}: malformed snapshot header {header!r}: {exc}") from exc
         nx, ny = spec.nx, spec.ny
-        values = np.empty((ny, nx), dtype=np.float64)
+        # rows are kept as read, never preallocated from the header, so a
+        # header declaring a huge grid fails on its short file, not in malloc
+        rows = []
         for i in range(ny):
             line = fh.readline()
             if not line:
@@ -176,8 +179,8 @@ def read_snapshot_csv(path) -> ScalarField2D:
                 raise DataFormatError(f"{path}: row {i} has a non-numeric value") from exc
             if row.size != nx:
                 raise DataFormatError(f"{path}: row {i} has {row.size} values, expected {nx}")
-            values[i] = row
+            rows.append(row)
     try:
-        return ScalarField2D(spec, values)
+        return ScalarField2D(spec, np.array(rows))
     except ValueError as exc:   # non-finite values
         raise DataFormatError(f"{path}: {exc}") from exc

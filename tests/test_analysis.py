@@ -161,6 +161,36 @@ def test_percolation_threshold_small_grid():
     assert again == (mean, err)
 
 
+# (p_hat, stderr) of the one-trial-at-a-time estimator these replaced; the
+# stacked trials must reproduce them bit for bit.  53 trials at L=64 leave a
+# short last stack.
+PINNED_PERCOLATION = {
+    (32, 50, 3): (0.5946146049857497, 0.005292661303568006),
+    (64, 50, 0): (0.5857329763125021, 0.0029524661817944336),
+    (64, 53, 11): (0.5910570947362138, 0.003085239829171695),
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_PERCOLATION),
+                         ids=["-".join(map(str, a)) for a in PINNED_PERCOLATION])
+def test_percolation_estimates_are_pinned(args):
+    assert percolation_threshold_mc(*args) == PINNED_PERCOLATION[args]
+
+
+def test_percolation_labels_stacks_of_at_most_2_16_cells(monkeypatch):
+    sizes = []
+    label = scipy.ndimage.label
+
+    def record(mask, *args, **kwargs):
+        sizes.append(mask.size)
+        return label(mask, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.ndimage, "label", record)
+    percolation_threshold_mc(L=64, trials=53, seed=11)
+    assert max(sizes) == 2 ** 16              # 16 trials of 64^2 per call
+    assert sorted(set(sizes)) == [5 * 64 * 64, 2 ** 16]
+
+
 def test_spanning_onset_is_exact():
     # only column 5 holds values below 0.9, so the cells u <= v first span
     # top to bottom when v reaches that column's maximum
@@ -168,17 +198,46 @@ def test_spanning_onset_is_exact():
     u = 0.9 + 0.1 * rng.random((32, 32))
     column = 0.1 * rng.random(32)
     u[:, 5] = column
-    assert analysis._spanning_onset(u) == column.max()
+    assert analysis._spanning_onsets(u[None])[0] == column.max()
+
+
+def _per_field_onset(u):
+    # the one-field bisection with a 2-D label and an intersect1d span test
+    v = np.sort(u.ravel())
+    lo, hi = 0, v.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        labels = scipy.ndimage.label(u <= v[mid])[0]
+        if (np.intersect1d(labels[0], labels[-1]) > 0).any():
+            hi = mid
+        else:
+            lo = mid + 1
+    return v[lo]
+
+
+def test_stacked_onsets_match_per_field_bisection():
+    rng = np.random.default_rng(5)
+    stacks = [rng.random((k, 32, 32)) for k in range(1, 6)]
+    # "leak" stack: even fields are low only in their top 20 rows, odd ones
+    # only in their bottom 20; a structure linking neighbouring fields would
+    # join the overlap and let each odd field span at a low value
+    leak = 0.5 + 0.5 * rng.random((4, 32, 32))
+    leak[0::2, :20] = 0.1 * rng.random((2, 20, 32))
+    leak[1::2, -20:] = 0.1 * rng.random((2, 20, 32))
+    for u in stacks + [leak]:
+        expected = [_per_field_onset(field) for field in u]
+        assert analysis._spanning_onsets(u).tolist() == expected
+    assert (analysis._spanning_onsets(leak) > 0.5).all()
 
 
 def test_percolation_trials_of_nearby_seeds_are_independent(monkeypatch):
     seen = []
 
     def record(u):
-        seen.append(u.tobytes())
-        return float(u.mean())
+        seen.extend(field.tobytes() for field in u)
+        return u.mean(axis=(1, 2))
 
-    monkeypatch.setattr(analysis, "_spanning_onset", record)
+    monkeypatch.setattr(analysis, "_spanning_onsets", record)
     percolation_threshold_mc(L=32, trials=50, seed=3)
     fields3, seen[:] = set(seen), []
     percolation_threshold_mc(L=32, trials=50, seed=4)

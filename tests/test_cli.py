@@ -96,12 +96,14 @@ def test_film_data_outputs_match_golden_hashes(tmp_path):
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy.special costs ~0.3 s of start-up; only gaussian_field needs it
-    code = "import sys, spinodalkit.cli; print('scipy.special' in sys.modules)"
+    # scipy.special costs ~0.3 s of start-up; only gaussian_field needs it.
+    # scipy.ndimage costs ~60 ms; only labelling and percolation need it
+    code = ("import sys, spinodalkit.cli; "
+            "print('scipy.special' in sys.modules, 'scipy.ndimage' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
 
 
 def test_parser_is_built_on_first_main_call_then_reused(tmp_path):
@@ -263,6 +265,17 @@ def test_bad_config_is_data_error(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[grid]\nh = inf\n", "[solver]\nsnapshot_times = 0, inf\n"],
+                         ids=["h", "snapshot_times"])
+def test_non_finite_config_value_is_data_error(tmp_path, capsys, text):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 2
+    assert "line 2: bad value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threads_env_var(tmp_path, config_path, monkeypatch):
     monkeypatch.setenv("SPINODALKIT_THREADS", "banana")
     assert cli.main(["simulate", "--config", str(config_path),
@@ -363,6 +376,8 @@ INVALID_SNAPSHOTS = {
     "zero_spacing": "4,4,0.0\n" + ROW * 4,
     "negative_rows": "4,-4,1.0\n" + ROW * 4,
     "nan_value": "4,4,1.0\n" + ROW * 3 + "0.5,nan,0.5,0.5\n",
+    "infinite_spacing": "4,4,inf\n" + ROW * 4,
+    "huge_grid": "1000000000,1000000000,1.0\n" + ROW * 4,
 }
 
 

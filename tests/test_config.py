@@ -79,6 +79,22 @@ def test_rejects_with_line_number(text, lineno):
     assert str(info.value).startswith(f"line {lineno}:")
 
 
+FLOAT_KEYS = [("grid", "h"), ("init", "mean"), ("init", "variance"),
+              ("solver", "D"), ("solver", "kappa"), ("solver", "dt"),
+              ("solver", "snapshot_times"), ("analysis", "x_c"),
+              ("analysis", "sigma_ti"), ("analysis", "sigma_al")]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS, ids=[k for _, k in FLOAT_KEYS])
+def test_rejects_non_finite_floats(section, key, value):
+    if key == "snapshot_times":
+        value = f"0, {value}"
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"[{section}]\n\n{key} = {value}\n")
+    assert info.value.line == 3
+
+
 def test_serialize_round_trip():
     cfg = parse_config(SAMPLE)
     assert parse_config(serialize_config(cfg)) == cfg
