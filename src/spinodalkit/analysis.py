@@ -12,6 +12,9 @@ Four families of diagnostics:
   Kirchhoff solve with harmonic-mean bond conductances, by column-by-column
   elimination at O(nx*ny^3) time and O(ny^2) memory.
 
+analyze_fields reports all four for a batch of snapshots; its R_eff solves,
+one per snapshot and axis, can run on a thread pool.
+
 Clustering and spanning use non-periodic boundaries (electrodes break
 periodicity) even though the underlying composition field is periodic;
 the mismatch is deliberate and only affects edge-touching clusters.
@@ -42,6 +45,7 @@ __all__ = [
     "effective_sheet_resistance",
     "dense_sheet_resistance",
     "analyze_field",
+    "analyze_fields",
     "write_report_csv",
     "REPORT_HEADER",
 ]
@@ -308,7 +312,11 @@ def _electrode_current(s: np.ndarray) -> float:
     S = add_block(nx - 1, np.zeros((ny, ny)))
     for j in range(nx - 2, -1, -1):
         g = gh[:, j]
-        S = add_block(j, -g[:, None] * np.linalg.inv(S) * g)
+        # -g[:, None] * inv(S) * g, scaled in place in the same order
+        S = np.linalg.inv(S)
+        np.multiply(-g[:, None], S, out=S)
+        S *= g
+        S = add_block(j, S)
     V0 = np.linalg.solve(S, gl)
     return float((gl * (1.0 - V0)).sum())
 
@@ -395,23 +403,52 @@ class AnalysisRow:
     R_eff_y: float
 
 
+def analyze_fields(items, x_c: float = 0.5, sigma_ti: float = 1.0,
+                   sigma_al: float = 1e-4, threads: int = 1) -> list[AnalysisRow]:
+    """One AnalysisRow per (time, field) pair of `items`, in input order
+    (Ti-rich phase throughout).
+
+    The R_eff solves, one per field and axis, dominate the cost and are
+    independent, so up to `threads` worker threads run them (LAPACK releases
+    the GIL).  Each solve is computed the same way whichever thread runs it,
+    so the rows do not depend on `threads`.  The first failing solve in input
+    order raises.
+    """
+    if threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {threads}")
+    rows, cmaps = [], []
+    for time, f in items:
+        pmap = PhaseMap.from_field(f, x_c)
+        labeling = label_clusters(pmap, Phase.TI_RICH)
+        rows.append(dict(
+            time=time,
+            char_length=characteristic_length(f),
+            ti_fraction=pmap.fraction(Phase.TI_RICH),
+            n_clusters=labeling.n_clusters,
+            largest_cluster=labeling.largest,
+            spans_x=spans(labeling, "x"),
+            spans_y=spans(labeling, "y"),
+        ))
+        cmaps.append(ConductivityMap.from_phase_map(pmap, sigma_ti, sigma_al))
+    # two solves per field, in the order (field 0, x), (field 0, y), (field 1, x), ...
+    job_maps = [c for c in cmaps for _ in range(2)]
+    job_axes = ["x", "y"] * len(cmaps)
+    workers = min(threads, len(job_maps))
+    if workers <= 1:
+        r_eff = list(map(effective_sheet_resistance, job_maps, job_axes))
+    else:
+        # imported here: the serial path, and every other subcommand, never pays for it
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            r_eff = list(pool.map(effective_sheet_resistance, job_maps, job_axes))
+    return [AnalysisRow(**row, R_eff_x=rx, R_eff_y=ry)
+            for row, rx, ry in zip(rows, r_eff[0::2], r_eff[1::2])]
+
+
 def analyze_field(f: ScalarField2D, time: float, x_c: float = 0.5,
                   sigma_ti: float = 1.0, sigma_al: float = 1e-4) -> AnalysisRow:
-    """All per-snapshot descriptors in one pass (Ti-rich phase throughout)."""
-    pmap = PhaseMap.from_field(f, x_c)
-    labeling = label_clusters(pmap, Phase.TI_RICH)
-    cmap = ConductivityMap.from_phase_map(pmap, sigma_ti, sigma_al)
-    return AnalysisRow(
-        time=time,
-        char_length=characteristic_length(f),
-        ti_fraction=pmap.fraction(Phase.TI_RICH),
-        n_clusters=labeling.n_clusters,
-        largest_cluster=labeling.largest,
-        spans_x=spans(labeling, "x"),
-        spans_y=spans(labeling, "y"),
-        R_eff_x=effective_sheet_resistance(cmap, "x"),
-        R_eff_y=effective_sheet_resistance(cmap, "y"),
-    )
+    """All per-snapshot descriptors of one field (see analyze_fields)."""
+    return analyze_fields([(time, f)], x_c, sigma_ti, sigma_al)[0]
 
 
 def write_report_csv(path, rows) -> None:

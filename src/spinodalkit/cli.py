@@ -64,7 +64,8 @@ def _positive_float(s: str) -> float:
 
 def _resolve_threads(value: int | None) -> int:
     """--threads, else SPINODALKIT_THREADS, else 1.  The cap never changes
-    results; it only bounds worker counts where modules parallelize."""
+    results; only `analyze` uses workers (its R_eff solves), the other
+    subcommands check the value and ignore it."""
     if value is None:
         raw = os.environ.get("SPINODALKIT_THREADS", "1")
         try:
@@ -147,12 +148,10 @@ def _snapshot_paths(in_path: Path) -> list[tuple[float, Path]]:
 def _cmd_analyze(args) -> int:
     cfg = _load_run_config(args)
     out = _out_dir(cfg)
-    rows = []
-    for t, path in _snapshot_paths(Path(args.in_path)):
-        f = read_snapshot_csv(path)
-        rows.append(analysis.analyze_field(f, t, x_c=cfg.x_c,
-                                           sigma_ti=cfg.sigma_ti,
-                                           sigma_al=cfg.sigma_al))
+    snapshots = ((t, read_snapshot_csv(path))
+                 for t, path in _snapshot_paths(Path(args.in_path)))
+    rows = analysis.analyze_fields(snapshots, x_c=cfg.x_c, sigma_ti=cfg.sigma_ti,
+                                   sigma_al=cfg.sigma_al, threads=args.threads)
     report = out / "report.csv"
     analysis.write_report_csv(report, rows)
     print(f"analyze: {len(rows)} snapshots -> {report}")
@@ -257,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--threads", type=_positive_int,
-                       help="worker cap (results are thread-count independent)")
+                       help="worker cap; only analyze uses workers "
+                            "(results are thread-count independent)")
         if force_dt:
             p.add_argument("--force-dt", action="store_true",
                            help="bypass the dt stability ceiling")
@@ -291,10 +291,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _resolve_threads(args.threads)
+        args.threads = _resolve_threads(args.threads)
         return args.func(args)
-    except (ConfigError, DataFormatError, FileNotFoundError, IsADirectoryError,
-            PermissionError) as err:
+    except (ConfigError, DataFormatError, solver.TimeStepError, FileNotFoundError,
+            IsADirectoryError, PermissionError) as err:
         print(f"spinodalkit {args.command}: {err}", file=sys.stderr)
         return EXIT_DATA
     except (solver.StabilityError, analysis.LinearSolveError,

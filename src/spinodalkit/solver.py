@@ -30,6 +30,7 @@ __all__ = [
     "DiagnosticsRecord",
     "SimulationResult",
     "StabilityError",
+    "TimeStepError",
     "default_dt",
     "max_stable_dt",
     "run",
@@ -53,6 +54,13 @@ class StabilityError(RuntimeError):
         self.time = time
         self.partial: "SimulationResult | None" = None
         self.last_stable: ScalarField2D | None = None
+
+
+class TimeStepError(ValueError):
+    """The time step is not a positive finite number, although h, D and
+    kappa each are: h^4 or 200*D*kappa leaves the float range (h = 1e-100
+    gives dt = 0, D = 1e-320 gives dt = inf), or an explicit dt is inf or
+    nan."""
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,16 @@ class SolverParams:
                            tuple(sorted(float(t) for t in self.snapshot_times)))
 
     def resolve_dt(self, h: float) -> float:
-        return self.dt if self.dt is not None else default_dt(h, self.D, self.kappa)
+        """The step to take on a grid of spacing h; raises TimeStepError
+        unless it is positive and finite."""
+        try:
+            dt = self.dt if self.dt is not None else default_dt(h, self.D, self.kappa)
+        except OverflowError:   # h ** 4 beyond the float range
+            dt = math.inf
+        if not (math.isfinite(dt) and dt > 0):
+            raise TimeStepError(f"time step dt={dt!r} from h={h!r}, D={self.D!r}, "
+                                f"kappa={self.kappa!r} is not a positive finite number")
+        return dt
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from spinodalkit.analysis import (ConductivityMap, dense_sheet_resistance,
                                   effective_sheet_resistance,
                                   percolation_threshold_mc)
 from spinodalkit import cli
-from spinodalkit.fields import GridSpec, gaussian_field
+from spinodalkit.fields import GridSpec, gaussian_field, write_snapshot_csv
 from spinodalkit.fitting import (fit_conductivity_regimes, fit_gl_hc2,
                                  fit_powerlaw_hc2, fit_resonance,
                                  model_gl_hc2, model_inv_s21,
@@ -76,6 +76,21 @@ def test_c04_coarsening(run256):
           f"L(500)={lengths[500.0]:.3f}, var(500)={var:.3f}")
     assert lengths[10.0] < lengths[50.0] < lengths[500.0]
     assert var > 0.05
+
+
+def test_analyze_256_report_is_byte_identical_across_threads(run256, tmp_path):
+    # criterion 14 for `analyze`: the threaded R_eff solves of a coarsened
+    # 256^2 map write the same report as the serial ones
+    snap = tmp_path / "snap_t500.csv"
+    write_snapshot_csv(run256.snapshots[500.0], snap)
+    reports = []
+    for threads in ("1", "2", "4"):
+        out = tmp_path / threads
+        assert cli.main(["analyze", "--in", str(snap), "--out", str(out),
+                         "--threads", threads]) == 0
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    print("analyze: 256^2 report byte-identical across --threads 1/2/4")
 
 
 def test_c05_kinetic_inductance():

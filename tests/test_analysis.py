@@ -5,8 +5,10 @@ from numpy.testing import assert_allclose
 
 from spinodalkit import analysis
 from spinodalkit.analysis import (REPORT_HEADER, ClusterLabeling,
-                                  NoStructureError, Phase, PhaseMap,
-                                  analyze_field, characteristic_length,
+                                  ConductivityMap, NoStructureError, Phase,
+                                  PhaseMap, analyze_field, analyze_fields,
+                                  characteristic_length,
+                                  effective_sheet_resistance,
                                   label_clusters, percolation_threshold_mc,
                                   spans, write_report_csv)
 from spinodalkit.fields import GridSpec, ScalarField2D, gaussian_field
@@ -271,3 +273,25 @@ def test_analyze_field_and_report_csv(tmp_path):
     assert float(parts[0]) == 15.0
     assert float(parts[1]) == row.char_length
     assert parts[5] in {"0", "1"} and parts[6] in {"0", "1"}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_analyze_fields_rows_are_in_input_order(threads):
+    # fields of different shapes, so a row or axis taken from the wrong
+    # solve cannot match the direct calls
+    items = [(float(t), gaussian_field(GridSpec(nx, ny), 0.45, 0.01, seed=t))
+             for t, (nx, ny) in enumerate([(16, 12), (12, 20), (24, 16)])]
+    rows = analyze_fields(items, x_c=0.5, sigma_ti=2.0, sigma_al=1e-3,
+                          threads=threads)
+    assert [r.time for r in rows] == [0.0, 1.0, 2.0]
+    for row, (t, f) in zip(rows, items):
+        assert row == analyze_field(f, t, x_c=0.5, sigma_ti=2.0, sigma_al=1e-3)
+        cmap = ConductivityMap.from_phase_map(PhaseMap.from_field(f), 2.0, 1e-3)
+        assert row.R_eff_x == effective_sheet_resistance(cmap, "x")
+        assert row.R_eff_y == effective_sheet_resistance(cmap, "y")
+
+
+def test_analyze_fields_edge_cases():
+    assert analyze_fields([], threads=1) == analyze_fields([], threads=2) == []
+    with pytest.raises(ValueError, match="thread count"):
+        analyze_fields([], threads=0)

@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
 
-from spinodalkit import cli
+from spinodalkit import analysis, cli
 from spinodalkit.fields import GridSpec, ScalarField2D, write_snapshot_csv
 from spinodalkit.fitting import model_gl_hc2, model_inv_s21, model_powerlaw_hc2
 
@@ -97,13 +98,14 @@ def test_film_data_outputs_match_golden_hashes(tmp_path):
 
 def test_cli_import_leaves_scipy_special_unloaded():
     # scipy.special costs ~0.3 s of start-up; only gaussian_field needs it.
-    # scipy.ndimage costs ~60 ms; only labelling and percolation need it
-    code = ("import sys, spinodalkit.cli; "
-            "print('scipy.special' in sys.modules, 'scipy.ndimage' in sys.modules)")
+    # scipy.ndimage costs ~60 ms; only labelling and percolation need it.
+    # concurrent.futures costs ~7 ms; only a threaded analyze needs it
+    code = ("import sys, spinodalkit.cli; print(*(m in sys.modules for m in "
+            "('scipy.special', 'scipy.ndimage', 'concurrent.futures')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False False"
+    assert out.strip() == "False False False"
 
 
 def test_parser_is_built_on_first_main_call_then_reused(tmp_path):
@@ -265,6 +267,21 @@ def test_bad_config_is_data_error(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,dt", [("[grid]\nh = 1e-100\n", "0.0"),
+                                     ("[solver]\nD = 1e-320\n", "inf")],
+                         ids=["dt_zero", "dt_inf"])
+def test_unusable_automatic_dt_is_data_error(tmp_path, capsys, text, dt):
+    # each value is finite and positive, but h^4/(200*D*kappa) is not
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text + "[grid]\nnx = 8\nny = 8\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"time step dt={dt} from h=" in err
+    assert all(f"{name}=" in err for name in ("h", "D", "kappa"))
+    assert not list(out.glob("snap_t*.csv"))
+
+
 @pytest.mark.parametrize("text", ["[grid]\nh = inf\n", "[solver]\nsnapshot_times = 0, inf\n"],
                          ids=["h", "snapshot_times"])
 def test_non_finite_config_value_is_data_error(tmp_path, capsys, text):
@@ -323,12 +340,38 @@ def test_analyze_report_is_byte_identical_across_runs_and_threads(
     snaps = tmp_path / "snaps"
     cli.main(["simulate", "--config", str(config_path), "--out", str(snaps)])
     reports = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+    for name, threads in (("a", "1"), ("b", "1"), ("c", "2"), ("d", "2"), ("e", "4")):
         rep = tmp_path / name
         assert cli.main(["analyze", "--in", str(snaps), "--out", str(rep),
                          "--threads", threads]) == 0
         reports.append((rep / "report.csv").read_bytes())
-    assert reports[0] == reports[1] == reports[2]
+    assert all(r == reports[0] for r in reports)
+
+
+def test_analyze_threads_run_reff_solves_concurrently(tmp_path, config_path,
+                                                      monkeypatch):
+    # each solve waits until a second one is running: only a pool of two
+    # workers gets past the barrier, a serial run breaks it
+    snaps = tmp_path / "snaps"
+    cli.main(["simulate", "--config", str(config_path), "--out", str(snaps)])
+    solve = analysis.effective_sheet_resistance
+    barrier = threading.Barrier(2, timeout=30.0)
+    threads_seen = set()
+
+    def rendezvous(c, axis):
+        threads_seen.add(threading.get_ident())
+        barrier.wait()
+        return solve(c, axis)
+
+    monkeypatch.setattr(analysis, "effective_sheet_resistance", rendezvous)
+    assert cli.main(["analyze", "--in", str(snaps), "--out", str(tmp_path / "a"),
+                     "--threads", "2"]) == 0
+    assert len(threads_seen) == 2 and threading.get_ident() not in threads_seen
+    barrier = threading.Barrier(2, timeout=0.2)
+    with pytest.raises(threading.BrokenBarrierError):
+        cli.main(["analyze", "--in", str(snaps), "--out", str(tmp_path / "b"),
+                  "--threads", "1"])
+    assert not (tmp_path / "b" / "report.csv").exists()
 
 
 def test_analyze_non_power_of_two_grid(tmp_path):
@@ -341,7 +384,8 @@ def test_analyze_non_power_of_two_grid(tmp_path):
     assert len(lines) == 3
 
 
-def test_analyze_without_conducting_path_is_numeric_failure(tmp_path, capsys):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_analyze_without_conducting_path_is_numeric_failure(tmp_path, capsys, threads):
     # every cell is Al-rich and 1e-310 bonds underflow to zero conductance
     ini = tmp_path / "dead.ini"
     ini.write_text(CONFIG.replace("nx = 32", "nx = 16").replace("ny = 32", "ny = 16")
@@ -349,7 +393,7 @@ def test_analyze_without_conducting_path_is_numeric_failure(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
     code = cli.main(["analyze", "--config", str(ini), "--in", str(out),
-                     "--out", str(out)])
+                     "--out", str(out), "--threads", threads])
     assert code == 3
     assert "Kirchhoff" in capsys.readouterr().err
     assert not (out / "report.csv").exists()

@@ -7,8 +7,9 @@ from numpy.testing import assert_allclose
 from spinodalkit import cli
 from spinodalkit.fields import GridSpec, ScalarField2D, gaussian_field
 from spinodalkit.solver import (DIAG_HEADER, SolverParams, StabilityError,
-                                _chemical_potential, default_dt, max_stable_dt,
-                                run, snapshot_filename, write_diagnostics_csv)
+                                TimeStepError, _chemical_potential, default_dt,
+                                max_stable_dt, run, snapshot_filename,
+                                write_diagnostics_csv)
 from spinodalkit.thermo import GibbsModel, d2gibbs, dgibbs, free_energy
 
 MODEL = GibbsModel()
@@ -46,6 +47,20 @@ def test_dt_above_ceiling_is_rejected():
     bad = SolverParams(dt=0.1, snapshot_times=(0.1,))
     with pytest.raises(StabilityError):
         run(f, bad, MODEL)
+
+
+@pytest.mark.parametrize("h,params", [
+    (1e-100, SolverParams()),                       # h^4 underflows: dt = 0
+    (1e100, SolverParams()),                        # h^4 overflows
+    (1.0, SolverParams(D=1e-320)),                  # D*kappa underflows: dt = inf
+    (1.0, SolverParams(D=1e300, kappa=1e300)),      # D*kappa overflows: dt = 0
+    (1.0, SolverParams(dt=float("inf"), force_dt=True)),
+    (1.0, SolverParams(dt=float("nan"), force_dt=True)),
+], ids=["h_tiny", "h_huge", "D_tiny", "D_kappa_huge", "dt_inf", "dt_nan"])
+def test_unusable_dt_is_rejected_before_any_step(h, params):
+    f = gaussian_field(GridSpec(8, 8, h), 0.48, 1e-3, seed=0)
+    with pytest.raises(TimeStepError, match=r"h=.*, D=.*, kappa="):
+        run(f, params, MODEL)
 
 
 def test_forced_unstable_dt_trips_divergence_guard():
