@@ -23,12 +23,12 @@ the mismatch is deliberate and only affects edge-touching clusters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
 
-from .fields import GridSpec, ScalarField2D
+from .fields import GridSpec, ScalarField2D, write_table_csv
 
 __all__ = [
     "NoStructureError",
@@ -150,7 +150,10 @@ def label_clusters(pmap: PhaseMap, phase: Phase = Phase.TI_RICH) -> ClusterLabel
     return ClusterLabeling(labels=labels, sizes=np.bincount(labels.ravel())[1:])
 
 
-def _labels_span(labels: np.ndarray, axis: str) -> bool:
+def spans(labeling: ClusterLabeling, axis: str) -> bool:
+    """True iff some single cluster touches both opposite edges along axis
+    ('x': left and right columns; 'y': top and bottom rows)."""
+    labels = labeling.labels
     if axis == "x":
         first, last = labels[:, 0], labels[:, -1]
     elif axis == "y":
@@ -159,12 +162,6 @@ def _labels_span(labels: np.ndarray, axis: str) -> bool:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     common = np.intersect1d(first, last)
     return bool((common > 0).any())
-
-
-def spans(labeling: ClusterLabeling, axis: str) -> bool:
-    """True iff some single cluster touches both opposite edges along axis
-    ('x': left and right columns; 'y': top and bottom rows)."""
-    return _labels_span(labeling.labels, axis)
 
 
 # Cells labelled by one ndimage.label call in percolation_threshold_mc; at
@@ -452,10 +449,4 @@ def analyze_field(f: ScalarField2D, time: float, x_c: float = 0.5,
 
 
 def write_report_csv(path, rows) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(REPORT_HEADER + "\n")
-        for r in rows:
-            fh.write(f"{r.time!r},{r.char_length!r},{r.ti_fraction!r},"
-                     f"{r.n_clusters},{r.largest_cluster},"
-                     f"{int(r.spans_x)},{int(r.spans_y)},"
-                     f"{r.R_eff_x!r},{r.R_eff_y!r}\n")
+    write_table_csv(path, REPORT_HEADER, map(astuple, rows))

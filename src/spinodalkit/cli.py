@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, fitting, render, solver, transport
 from .config import ConfigError, RunConfig, load_config
 from .fields import (DataFormatError, GridSpec, gaussian_field,
-                     read_snapshot_csv, write_snapshot_csv)
+                     read_snapshot_csv, write_snapshot_csv, write_table_csv)
 from .thermo import GibbsModel, NoSpinodalRegionError
 
 EXIT_OK = 0
@@ -86,15 +86,15 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
+def _out_dir(path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_run_config(args)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out_dir)
     spec = GridSpec(cfg.nx, cfg.ny, cfg.h)
     init = gaussian_field(spec, cfg.mean, cfg.variance, cfg.seed)
     params = solver.SolverParams(
@@ -147,7 +147,7 @@ def _snapshot_paths(in_path: Path) -> list[tuple[float, Path]]:
 
 def _cmd_analyze(args) -> int:
     cfg = _load_run_config(args)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out_dir)
     snapshots = ((t, read_snapshot_csv(path))
                  for t, path in _snapshot_paths(Path(args.in_path)))
     rows = analysis.analyze_fields(snapshots, x_c=cfg.x_c, sigma_ti=cfg.sigma_ti,
@@ -159,8 +159,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_transport(args) -> int:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out or ".")
     records = transport.read_transport_csv(args.in_path)
     derived = [transport.derive_transport(r) for r in records]
     report = out / "transport_report.csv"
@@ -182,8 +181,7 @@ def _write_fit_outputs(result, out: Path, stem: str) -> int:
 
 
 def _cmd_fit_hc2(args) -> int:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out or ".")
     T, muH = fitting.read_xy_csv(args.in_path, ("T_K", "muH_T"))
     if args.model == "gl":
         result = fitting.fit_gl_hc2(T, muH)
@@ -197,8 +195,7 @@ def _cmd_fit_hc2(args) -> int:
 
 
 def _cmd_fit_resonance(args) -> int:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out or ".")
     f, s21 = fitting.read_s21_csv(args.in_path)
     if (np.abs(s21) == 0).any():
         raise DataFormatError(f"{args.in_path}: |S21| = 0 sample cannot be inverted")
@@ -207,16 +204,14 @@ def _cmd_fit_resonance(args) -> int:
 
 
 def _cmd_fit_sigma(args) -> int:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out or ".")
     T, sigma = fitting.read_xy_csv(args.in_path, ("T_K", "sigma"))
     regimes = fitting.fit_conductivity_regimes(T, sigma)
     path = out / "fit_sigma.csv"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("window,abscissa,slope,intercept,r_squared\n")
-        hi, lo = regimes.high_T, regimes.low_T
-        fh.write(f"high_T,T,{hi.slope!r},{hi.intercept!r},{hi.r_squared!r}\n")
-        fh.write(f"low_T,sqrt_T,{lo.slope!r},{lo.intercept!r},{lo.r_squared!r}\n")
+    hi, lo = regimes.high_T, regimes.low_T
+    write_table_csv(path, "window,abscissa,slope,intercept,r_squared",
+                    [("high_T", "T", hi.slope, hi.intercept, hi.r_squared),
+                     ("low_T", "sqrt_T", lo.slope, lo.intercept, lo.r_squared)])
     print(f"high-T window {regimes.high_window}: sigma = {hi.slope:.6g}*T + "
           f"{hi.intercept:.6g}  (R^2={hi.r_squared:.6f})")
     print(f"low-T window {regimes.low_window}: sigma = {lo.slope:.6g}*sqrt(T) + "
@@ -226,8 +221,7 @@ def _cmd_fit_sigma(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out or ".")
     targets = _snapshot_paths(Path(args.in_path))
     for _, path in targets:
         f = read_snapshot_csv(path)
@@ -293,19 +287,13 @@ def main(argv=None) -> int:
     try:
         args.threads = _resolve_threads(args.threads)
         return args.func(args)
-    except (ConfigError, DataFormatError, solver.TimeStepError, FileNotFoundError,
-            IsADirectoryError, PermissionError) as err:
-        print(f"spinodalkit {args.command}: {err}", file=sys.stderr)
-        return EXIT_DATA
+    # numeric failures first: several of these types subclass ValueError
     except (solver.StabilityError, analysis.LinearSolveError,
             analysis.NoStructureError, fitting.SingularFitError,
             NoSpinodalRegionError, np.linalg.LinAlgError) as err:
         print(f"spinodalkit {args.command}: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as err:
-        print(f"spinodalkit {args.command}: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as err:
+    except (ValueError, OSError) as err:  # bad input: config, data files, values
         print(f"spinodalkit {args.command}: {err}", file=sys.stderr)
         return EXIT_DATA
 

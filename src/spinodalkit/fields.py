@@ -7,7 +7,9 @@ divergence-form updates.
 
 from __future__ import annotations
 
+import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +22,8 @@ __all__ = [
     "field_stats",
     "write_snapshot_csv",
     "read_snapshot_csv",
+    "read_table_csv",
+    "write_table_csv",
 ]
 
 MIN_GRID = 4
@@ -156,31 +160,79 @@ def write_snapshot_csv(f: ScalarField2D, path) -> None:
 
 
 def read_snapshot_csv(path) -> ScalarField2D:
+    """Read a snapshot written by write_snapshot_csv: the body must hold
+    exactly ny rows of nx finite values (no fewer, no more)."""
     with open(path, "r") as fh:
         header = fh.readline().strip()
-        parts = header.split(",")
-        if len(parts) != 3:
-            raise DataFormatError(f"{path}: malformed snapshot header {header!r}")
         try:
-            spec = GridSpec(int(parts[0]), int(parts[1]), float(parts[2]))
+            nx, ny, h = header.split(",")
+            spec = GridSpec(int(nx), int(ny), float(h))
         except ValueError as exc:
             raise DataFormatError(f"{path}: malformed snapshot header {header!r}: {exc}") from exc
-        nx, ny = spec.nx, spec.ny
-        # rows are kept as read, never preallocated from the header, so a
-        # header declaring a huge grid fails on its short file, not in malloc
-        rows = []
-        for i in range(ny):
-            line = fh.readline()
-            if not line:
-                raise DataFormatError(f"{path}: expected {ny} data rows, file ended at row {i}")
+        try:
+            # no max_rows: the body is never preallocated from the header, so
+            # a header declaring a huge grid fails on its short file, not in malloc
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty body fails the shape check
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if values.shape != (spec.ny, spec.nx):
+                raise ValueError(f"expected {spec.ny} rows of {spec.nx} values, "
+                                 f"got {values.shape[0]} rows of {values.shape[1]}")
+            return ScalarField2D(spec, values)  # rejects non-finite values
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def read_table_csv(path, header: str, text: int = 0, record=None) -> list:
+    """Rows of a table CSV.  The first line must be `header` (spaces around
+    names aside) and blank lines are skipped; every other row has exactly
+    the header's fields, the first `text` kept as stripped strings and the
+    rest finite floats.  A row is the tuple of its fields, or
+    `record(*fields)`.  Any fault, a ValueError from `record` too, is a
+    DataFormatError naming `path:line`; so is a file without data rows."""
+    names = header.split(",")
+    rows = []
+    with open(path, "r", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [c.strip() for c in first] != names:
+            raise DataFormatError(f"{path}: expected header '{header}'")
+        for row in reader:
+            if not row:
+                continue
             try:
-                row = np.array(line.strip().split(","), dtype=np.float64)
+                if len(row) != len(names):
+                    raise ValueError(f"expected {len(names)} fields, got {len(row)}")
+                values = [float(s) for s in row[text:]]
+                for name, v in zip(names[text:], values):
+                    if not math.isfinite(v):
+                        raise ValueError(f"{name} must be finite, got {v}")
+                fields = (*(s.strip() for s in row[:text]), *values)
+                rows.append(record(*fields) if record else fields)
             except ValueError as exc:
-                raise DataFormatError(f"{path}: row {i} has a non-numeric value") from exc
-            if row.size != nx:
-                raise DataFormatError(f"{path}: row {i} has {row.size} values, expected {nx}")
-            rows.append(row)
-    try:
-        return ScalarField2D(spec, np.array(rows))
-    except ValueError as exc:   # non-finite values
-        raise DataFormatError(f"{path}: {exc}") from exc
+                raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    return rows
+
+
+def _table_cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer, np.bool_)):  # bool is an int
+        return str(int(v))
+    return repr(float(v))
+
+
+def write_table_csv(path, header: str, rows) -> None:
+    """A report CSV: `header`, then one line per row of `rows`.
+
+    Strings are written unchanged, ints and bools as integers, and every
+    other value as repr(float(x)), the shortest text that reads back to the
+    same double (a numpy scalar prints as a plain float).  ASCII text with
+    `\\n` line ends.
+    """
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_table_cell, row)) + "\n")

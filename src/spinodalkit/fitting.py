@@ -9,7 +9,6 @@ real and imaginary residuals separately.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -17,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import DataFormatError
-from .transport import CONSTANTS, PhysicalConstants
+from .fields import read_table_csv, write_table_csv
+from .transport import CONSTANTS
 
 __all__ = [
     "FitModel",
@@ -240,8 +239,7 @@ def nlls_fit(model: FitModel, x, y, init, weights=None,
 # Physical models
 # ---------------------------------------------------------------------------
 
-def model_gl_hc2(T, xi: float, T_c: float,
-                 constants: PhysicalConstants = CONSTANTS):
+def model_gl_hc2(T, xi: float, T_c: float):
     """Parallel-field GL upper critical field
     mu0 Hc2(T) = Phi0/(2 pi xi^2) * (1 - (T/T_c)^2), clamped to 0 above T_c."""
     if xi <= 0 or T_c <= 0:
@@ -252,7 +250,7 @@ def model_gl_hc2(T, xi: float, T_c: float,
         warnings.warn("temperatures above T_c clamped to zero field",
                       RuntimeWarning, stacklevel=2)
         base = np.maximum(base, 0.0)
-    out = constants.flux_quantum / (2.0 * math.pi * xi ** 2) * base
+    out = CONSTANTS.flux_quantum / (2.0 * math.pi * xi ** 2) * base
     return out if out.ndim else float(out)
 
 
@@ -288,17 +286,16 @@ def model_inv_s21(f, Q_i: float, Q_c_star: float, phi: float, f0: float):
 # Fit drivers with initial-guess helpers
 # ---------------------------------------------------------------------------
 
-def fit_gl_hc2(T, muH, init: tuple[float, float] | None = None,
-               constants: PhysicalConstants = CONSTANTS) -> FitResult:
+def fit_gl_hc2(T, muH, init: tuple[float, float] | None = None) -> FitResult:
     """Fit (xi, T_c) to a parallel-field Hc2(T) trace."""
     T = np.asarray(T, dtype=np.float64)
     muH = np.asarray(muH, dtype=np.float64)
     if init is None:
         h_max = float(muH.max())
-        xi0 = math.sqrt(constants.flux_quantum / (2.0 * math.pi * max(h_max, 1e-12)))
+        xi0 = math.sqrt(CONSTANTS.flux_quantum / (2.0 * math.pi * max(h_max, 1e-12)))
         init = (xi0, 1.02 * float(T.max()))
     model = FitModel("gl_hc2", ("xi_m", "Tc_K"),
-                     lambda p, t: model_gl_hc2(t, p[0], p[1], constants))
+                     lambda p, t: model_gl_hc2(t, p[0], p[1]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return nlls_fit(model, T, muH, np.asarray(init))
@@ -435,45 +432,14 @@ def fit_conductivity_regimes(T, sigma,
 
 def read_xy_csv(path, columns: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
     """Two-column numeric CSV with an exact header, e.g. (T_K, muH_T)."""
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != list(columns):
-            raise DataFormatError(f"{path}: expected header '{','.join(columns)}'")
-        xs, ys = [], []
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"{path}:{ln}: malformed row {row!r}") from exc
-    if not xs:
-        raise DataFormatError(f"{path}: no data rows")
-    return np.array(xs), np.array(ys)
+    x, y = np.array(read_table_csv(path, ",".join(columns))).T.copy()
+    return x, y
 
 
 def read_s21_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Resonance trace with header f_Hz,re_S21,im_S21; returns (f, complex S21)."""
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["f_Hz", "re_S21", "im_S21"]:
-            raise DataFormatError(f"{path}: expected header 'f_Hz,re_S21,im_S21'")
-        fs, res, ims = [], [], []
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                fs.append(float(row[0]))
-                res.append(float(row[1]))
-                ims.append(float(row[2]))
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"{path}:{ln}: malformed row {row!r}") from exc
-    if not fs:
-        raise DataFormatError(f"{path}: no data rows")
-    return np.array(fs), np.array(res) + 1j * np.array(ims)
+    f, real, imag = np.array(read_table_csv(path, "f_Hz,re_S21,im_S21")).T.copy()
+    return f, real + 1j * imag
 
 
 def fit_report_text(result: FitResult) -> str:
@@ -490,11 +456,8 @@ def fit_report_text(result: FitResult) -> str:
 def write_fit_csv(path, result: FitResult) -> None:
     """Machine-readable fit report: parameter,value,uncertainty plus
     r_squared / ss_res / converged footer rows."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("parameter,value,uncertainty\n")
-        for i, name in enumerate(result.param_names):
-            unc = math.sqrt(abs(result.covariance[i, i]))
-            fh.write(f"{name},{float(result.params[i])!r},{unc!r}\n")
-        fh.write(f"r_squared,{result.r_squared!r},\n")
-        fh.write(f"ss_res,{result.ss_res!r},\n")
-        fh.write(f"converged,{int(result.converged)},\n")
+    write_table_csv(path, "parameter,value,uncertainty", [
+        *((name, result[name], result.uncertainty(name)) for name in result.param_names),
+        ("r_squared", result.r_squared, ""),
+        ("ss_res", result.ss_res, ""),
+        ("converged", result.converged, "")])

@@ -18,11 +18,11 @@ unless force_dt is set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .fields import ScalarField2D, _laplacian_values
+from .fields import ScalarField2D, _laplacian_values, write_table_csv
 from .thermo import GibbsModel, dgibbs, free_energy
 
 __all__ = [
@@ -248,7 +248,4 @@ def snapshot_filename(t: float) -> str:
 
 
 def write_diagnostics_csv(path, records) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(DIAG_HEADER + "\n")
-        for r in records:
-            fh.write(f"{r.step},{r.time!r},{r.mass!r},{r.free_energy!r},{r.min!r},{r.max!r}\n")
+    write_table_csv(path, DIAG_HEADER, map(astuple, records))

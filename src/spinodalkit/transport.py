@@ -9,13 +9,12 @@ inductance from the penetration depth.  All constants are pinned CODATA
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DataFormatError
+from .fields import read_table_csv, write_table_csv
 
 __all__ = [
     "PhysicalConstants",
@@ -100,14 +99,13 @@ class DerivedTransport:
     L_k: float       # sheet kinetic inductance, H/sq
 
 
-def hall_carrier_density(hall_slope: float, d: float,
-                         constants: PhysicalConstants = CONSTANTS) -> float:
+def hall_carrier_density(hall_slope: float, d: float) -> float:
     """n_e = 1/(slope * e * d) from the low-field Hall slope dR_xy/d(mu0 H)."""
     if hall_slope <= 0:
         raise ValueError(f"Hall slope must be positive (electron-like), got {hall_slope}")
     if d <= 0:
         raise ValueError(f"thickness must be positive, got {d}")
-    return 1.0 / (hall_slope * constants.e * d)
+    return 1.0 / (hall_slope * CONSTANTS.e * d)
 
 
 def hall_slope_ols(mu0H: np.ndarray, R_xy: np.ndarray) -> tuple[float, float]:
@@ -129,13 +127,12 @@ def hall_slope_ols(mu0H: np.ndarray, R_xy: np.ndarray) -> tuple[float, float]:
     return slope, float(ym - slope * xm)
 
 
-def free_electron_params(n_e: float, R_s: float, d: float,
-                         constants: PhysicalConstants = CONSTANTS) -> FreeElectronParams:
+def free_electron_params(n_e: float, R_s: float, d: float) -> FreeElectronParams:
     """Free-electron extraction: k_F = (3 pi^2 n_e)^(1/3), v_F = hbar k_F/m_e,
     tau = m_e/(n_e e^2 rho_xx), l = v_F tau."""
     if n_e <= 0 or R_s <= 0 or d <= 0:
         raise ValueError(f"inputs must be positive, got n_e={n_e} R_s={R_s} d={d}")
-    c = constants
+    c = CONSTANTS
     rho_xx = R_s * d
     k_F = (3.0 * math.pi ** 2 * n_e) ** (1.0 / 3.0)
     v_F = c.hbar * k_F / c.m_e
@@ -145,19 +142,18 @@ def free_electron_params(n_e: float, R_s: float, d: float,
                               kF_l=k_F * l, rho_xx=rho_xx)
 
 
-def bcs_gap(T_c: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def bcs_gap(T_c: float) -> float:
     """Weak-coupling zero-temperature gap Delta = 1.764 k_B Tc."""
     if T_c < 0:
         raise ValueError(f"Tc must be non-negative, got {T_c}")
-    return BCS_GAP_RATIO * constants.k_B * T_c
+    return BCS_GAP_RATIO * CONSTANTS.k_B * T_c
 
 
-def sheet_kinetic_inductance(R_s: float, T_c: float,
-                             constants: PhysicalConstants = CONSTANTS) -> float:
+def sheet_kinetic_inductance(R_s: float, T_c: float) -> float:
     """Dirty-limit sheet kinetic inductance L_k = hbar R_s / (pi Delta)."""
     if R_s <= 0 or T_c <= 0:
         raise ValueError(f"inputs must be positive, got R_s={R_s} T_c={T_c}")
-    return constants.hbar * R_s / (math.pi * bcs_gap(T_c, constants))
+    return CONSTANTS.hbar * R_s / (math.pi * bcs_gap(T_c))
 
 
 def specific_inductance(L_s: float, t: float) -> float:
@@ -167,8 +163,7 @@ def specific_inductance(L_s: float, t: float) -> float:
     return L_s * t
 
 
-def sheet_inductance_from_lambda(lam: float, t: float,
-                                 constants: PhysicalConstants = CONSTANTS) -> float:
+def sheet_inductance_from_lambda(lam: float, t: float) -> float:
     """Thin-film sheet inductance L_s = (mu0 lambda / 2) coth(t / 2 lambda).
 
     For t << lambda this reduces to mu0 lambda^2 / t, i.e. L_s t -> mu0 lambda^2.
@@ -176,7 +171,7 @@ def sheet_inductance_from_lambda(lam: float, t: float,
     if lam <= 0 or t <= 0:
         raise ValueError(f"inputs must be positive, got lambda={lam} t={t}")
     z = t / (2.0 * lam)
-    return constants.mu_0 * lam / (2.0 * math.tanh(z))
+    return CONSTANTS.mu_0 * lam / (2.0 * math.tanh(z))
 
 
 def tc_midpoint(T: np.ndarray, R: np.ndarray, normal_fraction: float = 0.1) -> float:
@@ -208,68 +203,30 @@ def tc_midpoint(T: np.ndarray, R: np.ndarray, normal_fraction: float = 0.1) -> f
                      "trace looks flat or non-superconducting")
 
 
-def derive_transport(rec: TransportRecord,
-                     constants: PhysicalConstants = CONSTANTS) -> DerivedTransport:
-    n_e = hall_carrier_density(rec.hall_slope, rec.d, constants)
-    fep = free_electron_params(n_e, rec.R_s, rec.d, constants)
+def derive_transport(rec: TransportRecord) -> DerivedTransport:
+    n_e = hall_carrier_density(rec.hall_slope, rec.d)
+    fep = free_electron_params(n_e, rec.R_s, rec.d)
     return DerivedTransport(
         record=rec,
         electrons=fep,
-        gap=bcs_gap(rec.T_c, constants),
-        L_k=sheet_kinetic_inductance(rec.R_s, rec.T_c, constants),
+        gap=bcs_gap(rec.T_c),
+        L_k=sheet_kinetic_inductance(rec.R_s, rec.T_c),
     )
 
 
 def read_transport_csv(path) -> list[TransportRecord]:
     """Input rows: label,d_m,Rs_ohm_sq,Tc_K,hall_slope_ohm_per_T."""
-    records = []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != TRANSPORT_HEADER.split(","):
-            raise DataFormatError(f"{path}: expected header '{TRANSPORT_HEADER}'")
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataFormatError(f"{path}:{ln}: expected 5 columns, got {len(row)}")
-            try:
-                records.append(TransportRecord(
-                    label=row[0].strip(), d=float(row[1]), R_s=float(row[2]),
-                    T_c=float(row[3]), hall_slope=float(row[4])))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{ln}: {exc}") from exc
-    if not records:
-        raise DataFormatError(f"{path}: no data rows")
-    return records
+    return read_table_csv(path, TRANSPORT_HEADER, text=1, record=TransportRecord)
 
 
 def read_rt_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """R(T) trace with header T_K,R_ohm."""
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["T_K", "R_ohm"]:
-            raise DataFormatError(f"{path}: expected header 'T_K,R_ohm'")
-        t, r = [], []
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                t.append(float(row[0]))
-                r.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"{path}:{ln}: malformed row {row!r}") from exc
-    if not t:
-        raise DataFormatError(f"{path}: no data rows")
-    return np.array(t), np.array(r)
+    T, R = np.array(read_table_csv(path, "T_K,R_ohm")).T.copy()
+    return T, R
 
 
 def write_transport_report_csv(path, derived) -> None:
     """Table-style report: label,d_m,Tc_K,Rs_ohm_sq,n_e_m3,Lk_H_sq,l_m,kF_l."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(REPORT_HEADER + "\n")
-        for d in derived:
-            r, e = d.record, d.electrons
-            fh.write(f"{r.label},{r.d!r},{r.T_c!r},{r.R_s!r},"
-                     f"{e.n_e!r},{d.L_k!r},{e.l!r},{e.kF_l!r}\n")
+    write_table_csv(path, REPORT_HEADER, [
+        (d.record.label, d.record.d, d.record.T_c, d.record.R_s,
+         d.electrons.n_e, d.L_k, d.electrons.l, d.electrons.kF_l) for d in derived])

@@ -348,6 +348,25 @@ def test_analyze_report_is_byte_identical_across_runs_and_threads(
     assert all(r == reports[0] for r in reports)
 
 
+# sha256 of `analyze`'s report.csv on a 64x64 run (seed 11, t = 0, 10, 50),
+# as written by the per-format report writer before the shared table writer
+ANALYZE_64_GOLDEN = "fc2c92d04bdde5cda23a99a9328cc81a726b40e7faf860f71c02b3a839312a4b"
+
+
+def test_analyze_64_report_matches_golden_hash(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[grid]\nnx = 64\nny = 64\n\n[init]\nseed = 11\n\n"
+                   "[solver]\nsnapshot_times = 0, 10, 50\n")
+    snaps = tmp_path / "snaps"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(snaps)]) == 0
+    for threads in ("1", "2", "4"):
+        rep = tmp_path / threads
+        assert cli.main(["analyze", "--in", str(snaps), "--out", str(rep),
+                         "--threads", threads]) == 0
+        got = hashlib.sha256((rep / "report.csv").read_bytes()).hexdigest()
+        assert got == ANALYZE_64_GOLDEN
+
+
 def test_analyze_threads_run_reff_solves_concurrently(tmp_path, config_path,
                                                       monkeypatch):
     # each solve waits until a second one is running: only a pool of two
@@ -422,6 +441,16 @@ INVALID_SNAPSHOTS = {
     "nan_value": "4,4,1.0\n" + ROW * 3 + "0.5,nan,0.5,0.5\n",
     "infinite_spacing": "4,4,inf\n" + ROW * 4,
     "huge_grid": "1000000000,1000000000,1.0\n" + ROW * 4,
+    "huge_grid_no_rows": "1000000000,1000000000,1.0\n",
+    "short_header": "4,4\n" + ROW * 4,
+    "header_only": "4,4,1.0\n",
+    "short_file": "4,4,1.0\n" + ROW * 3,
+    "extra_row": "4,4,1.0\n" + ROW * 5,
+    "ragged_row": "4,4,1.0\n" + ROW * 3 + "0.5,0.5,0.5\n",
+    "short_rows": "4,4,1.0\n" + "0.5,0.5,0.5\n" * 4,
+    "non_numeric": "4,4,1.0\n" + ROW * 3 + "0.5,x,0.5,0.5\n",
+    "inf_value": "4,4,1.0\n" + ROW * 3 + "0.5,-inf,0.5,0.5\n",
+    "comment_row": "4,4,1.0\n" + ROW * 3 + "# 0.5,0.5,0.5,0.5\n",
 }
 
 
@@ -518,7 +547,67 @@ def test_fit_sigma_command(tmp_path, capsys):
 
     sparse = tmp_path / "sparse.csv"
     sparse.write_text("T_K,sigma\n150,1\n200,1\n250,1\n300,1\n")
-    assert cli.main(["fit-sigma", "--in", str(sparse)]) == 3
+    assert cli.main(["fit-sigma", "--in", str(sparse)]) == 2
+
+
+# inputs a command rejects with exit 2 (bad data or values); each exited 3
+# before bare ValueErrors were mapped to the data-error code
+REJECTED_INPUTS = {
+    "fit-sigma_empty_low_window": (
+        "fit-sigma", "T_K,sigma\n150,1\n200,1\n250,1\n300,1\n",
+        "fewer than 3 points in window [10.0, 60.0] K"),
+    "fit-hc2_one_row": (
+        "fit-hc2", "T_K,muH_T\n1.0,2.0\n",
+        "gl_hc2: 1 observations cannot constrain 2 parameters"),
+    "fit-resonance_one_row": (
+        "fit-resonance", "f_Hz,re_S21,im_S21\n6e9,0.5,0.1\n",
+        "inv_s21: 1 observations cannot constrain 4 parameters"),
+    "transport_negative_hall_slope": (
+        "transport", "label,d_m,Rs_ohm_sq,Tc_K,hall_slope_ohm_per_T\n"
+                     "tan,1e-07,132.3,3.2,-0.0039\n",
+        "Hall slope must be positive (electron-like), got -0.0039"),
+}
+
+
+@pytest.mark.parametrize("command,content,message", list(REJECTED_INPUTS.values()),
+                         ids=list(REJECTED_INPUTS))
+def test_invalid_input_values_are_data_errors(tmp_path, capsys, command, content,
+                                              message):
+    src = tmp_path / "in.csv"
+    src.write_text(content)
+    assert cli.main([command, "--in", str(src), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"spinodalkit {command}: {message}\n"
+
+
+FILM_INPUT_HEADERS = {
+    "transport": ("label,d_m,Rs_ohm_sq,Tc_K,hall_slope_ohm_per_T", "tan,1e-07,132.3,3.2,0.0039"),
+    "fit-hc2": ("T_K,muH_T", "1.0,2.0"),
+    "fit-resonance": ("f_Hz,re_S21,im_S21", "6e9,0.5,0.1"),
+    "fit-sigma": ("T_K,sigma", "150,1"),
+}
+BAD_ROWS = {
+    "extra_field": (lambda row: row + ",1.0", "expected {n} fields, got {m}"),
+    "missing_field": (lambda row: row.rsplit(",", 1)[0], "expected {n} fields, got {m}"),
+    "nan": (lambda row: row.rsplit(",", 1)[0] + ",nan", "{last} must be finite, got nan"),
+    "inf": (lambda row: row.rsplit(",", 1)[0] + ",-inf", "{last} must be finite, got -inf"),
+}
+
+
+@pytest.mark.parametrize("fault", list(BAD_ROWS))
+@pytest.mark.parametrize("command", list(FILM_INPUT_HEADERS))
+def test_malformed_film_data_row_is_data_error(tmp_path, capsys, command, fault):
+    header, row = FILM_INPUT_HEADERS[command]
+    change, message = BAD_ROWS[fault]
+    bad = change(row)
+    src = tmp_path / "in.csv"
+    src.write_text(f"{header}\n{row}\n\n{bad}\n{row}\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--in", str(src), "--out", str(out)]) == 2
+    expected = message.format(n=header.count(",") + 1, m=bad.count(",") + 1,
+                              last=header.rsplit(",", 1)[1])
+    # line 4: the blank line 3 is skipped but counted
+    assert capsys.readouterr().err == f"spinodalkit {command}: {src}:4: {expected}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_render_command(tmp_path):

@@ -195,3 +195,18 @@ def test_snapshot_csv_rejects_malformed_files(tmp_path):
     p.write_text("4,4,1.0\n" + "0,0,0\n" * 4)
     with pytest.raises(DataFormatError):
         read_snapshot_csv(p)  # short rows
+    p.write_text("4,4,1.0\n" + "0,0,0,0\n" * 5)
+    with pytest.raises(DataFormatError, match="expected 4 rows of 4 values, got 5 rows"):
+        read_snapshot_csv(p)  # extra rows
+
+
+def test_snapshot_csv_reads_every_value_exactly(tmp_path):
+    # -0.0, subnormals and 17-digit values parse to the doubles float() gives
+    awkward = ["-0.0", "5e-324", "0.1", "0.3333333333333333", "1e+16",
+               "-2.5e-300", "2.2250738585072014e-308", "0.30000000000000004"]
+    p = tmp_path / "snap.csv"
+    p.write_text("4,4,1.0\n" + "".join(",".join(awkward[i:i + 4]) + "\n"
+                                        for i in (0, 4, 0, 4)) + "\n")
+    v = read_snapshot_csv(p).values
+    want = np.array([float(x) for x in awkward * 2]).reshape(4, 4)
+    assert v.tobytes() == want.tobytes()
