@@ -11,8 +11,8 @@ for critical-field and resonator data, all tied together by the
 
 from .fields import (GridSpec, ScalarField2D, field_stats, gaussian_field,
                      read_snapshot_csv, write_snapshot_csv)
-from .thermo import (GibbsForm, GibbsModel, d2gibbs, dgibbs, free_energy,
-                     gibbs, spinodal_interval)
+from .thermo import (GibbsModel, d2gibbs, dgibbs, free_energy, gibbs,
+                     spinodal_interval)
 from .solver import SolverParams, StabilityError, run
 
 __version__ = "0.1.0"
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GridSpec", "ScalarField2D", "field_stats", "gaussian_field",
     "read_snapshot_csv", "write_snapshot_csv",
-    "GibbsForm", "GibbsModel", "d2gibbs", "dgibbs", "free_energy", "gibbs",
+    "GibbsModel", "d2gibbs", "dgibbs", "free_energy", "gibbs",
     "spinodal_interval",
     "SolverParams", "StabilityError", "run",
     "__version__",

@@ -103,7 +103,6 @@ class PhaseMap:
 
     spec: GridSpec
     ti_rich: np.ndarray
-    threshold: float = 0.5
 
     def __post_init__(self):
         m = np.asarray(self.ti_rich, dtype=bool)
@@ -114,7 +113,7 @@ class PhaseMap:
 
     @classmethod
     def from_field(cls, f: ScalarField2D, x_c: float = 0.5) -> "PhaseMap":
-        return cls(spec=f.spec, ti_rich=f.values >= x_c, threshold=x_c)
+        return cls(spec=f.spec, ti_rich=f.values >= x_c)
 
     def mask(self, phase: Phase) -> np.ndarray:
         return self.ti_rich if phase is Phase.TI_RICH else ~self.ti_rich

@@ -24,7 +24,7 @@ from . import analysis, fitting, render, solver, transport
 from .config import ConfigError, RunConfig, load_config
 from .fields import (DataFormatError, GridSpec, gaussian_field,
                      read_snapshot_csv, write_snapshot_csv, write_table_csv)
-from .thermo import GibbsModel, NoSpinodalRegionError
+from .thermo import GibbsModel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -290,7 +290,7 @@ def main(argv=None) -> int:
     # numeric failures first: several of these types subclass ValueError
     except (solver.StabilityError, analysis.LinearSolveError,
             analysis.NoStructureError, fitting.SingularFitError,
-            NoSpinodalRegionError, np.linalg.LinAlgError) as err:
+            np.linalg.LinAlgError) as err:
         print(f"spinodalkit {args.command}: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as err:  # bad input: config, data files, values

@@ -122,9 +122,9 @@ def nlls_fit(model: FitModel, x, y, init, weights=None,
     Damping is multiplicative on the diagonal of the normal matrix
     (lambda scaled by 10 on reject, /10 on accept).  Convergence: relative
     reduction of the residual norm below cost_rtol, or step norm below
-    step_atol; hitting max_iter returns a result flagged non-converged.
-    Singular normal equations raise SingularFitError with a condition
-    estimate.
+    step_atol; hitting max_iter or a non-finite covariance returns a result
+    flagged non-converged. Singular normal equations raise SingularFitError
+    with a condition estimate.
     """
     x = np.asarray(x)
     y = np.asarray(y)
@@ -228,6 +228,9 @@ def nlls_fit(model: FitModel, x, y, init, weights=None,
         cov = 0.5 * (cov + cov.T)
     except np.linalg.LinAlgError:
         cov = np.full((n, n), np.nan)
+    if converged and not np.isfinite(cov).all():
+        converged = False
+        message = "covariance is not finite"
 
     return FitResult(model_name=model.name, param_names=model.param_names,
                      params=p, covariance=cov, ss_res=ss_res,

@@ -491,6 +491,17 @@ def test_fit_hc2_gl(tmp_path, capsys):
     assert "xi_m" in capsys.readouterr().out
 
 
+def test_fit_with_non_finite_covariance_is_not_converged(tmp_path, capsys):
+    # the step converges, but T_c ~ 1e308 overflows the covariance to nan
+    trace = tmp_path / "hc2.csv"
+    trace.write_text("T_K,muH_T\n1e308,2.0\n1.7e308,1.0\n")
+    code = cli.main(["fit-hc2", "--in", str(trace), "--out", str(tmp_path)])
+    assert code == 3
+    report = (tmp_path / "fit_hc2_gl.csv").read_text()
+    assert report.endswith("converged,0,\n")
+    assert "covariance is not finite" in capsys.readouterr().out
+
+
 def test_fit_hc2_powerlaw_needs_tc(tmp_path, capsys):
     trace = tmp_path / "hc2.csv"
     trace.write_text("T_K,muH_T\n1.0,2.0\n2.0,1.0\n3.0,0.2\n")

@@ -5,9 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinodalkit.fields import GridSpec, ScalarField2D
-from spinodalkit.thermo import (GibbsForm, GibbsModel, NoSpinodalRegionError,
-                                d2gibbs, dgibbs, free_energy, gibbs,
-                                spinodal_interval)
+from spinodalkit.thermo import (GibbsModel, d2gibbs, dgibbs, free_energy,
+                                gibbs, spinodal_interval)
 
 DW = GibbsModel()
 
@@ -54,9 +53,7 @@ def test_spinodal_endpoints_are_inflection_points():
     assert (d2gibbs(DW, inside) < 0).all()
 
 
-@pytest.mark.parametrize(
-    "model", [DW, GibbsModel(GibbsForm.POLYNOMIAL, (0.0, 0.0, 1.0, -2.0, 1.0))],
-    ids=["double-well", "polynomial"])
+@pytest.mark.parametrize("model", [DW], ids=["double-well"])
 def test_dgibbs_into_out_matches_allocating_call(model):
     x = np.random.default_rng(4).uniform(-0.5, 1.5, (6, 9))
     buf = np.empty_like(x)
@@ -64,21 +61,14 @@ def test_dgibbs_into_out_matches_allocating_call(model):
     assert np.array_equal(buf, dgibbs(model, x))
 
 
-def test_polynomial_form_reproduces_double_well():
-    # x^2 (1-x)^2 = x^2 - 2 x^3 + x^4
-    poly = GibbsModel(GibbsForm.POLYNOMIAL, (0.0, 0.0, 1.0, -2.0, 1.0))
+def test_double_well_matches_polynomial_coefficients():
+    # x^2 (1-x)^2 = x^2 - 2 x^3 + x^4, checked against numpy's polynomial oracle
+    P = np.polynomial.polynomial
+    c = (0.0, 0.0, 1.0, -2.0, 1.0)
     x = np.linspace(-0.5, 1.5, 33)
-    assert_allclose(gibbs(poly, x), gibbs(DW, x), rtol=0, atol=1e-12)
-    assert_allclose(dgibbs(poly, x), dgibbs(DW, x), rtol=0, atol=1e-12)
-    lo, hi = spinodal_interval(poly)
-    assert abs(lo - (3 - math.sqrt(3)) / 6) <= 1e-9
-    assert abs(hi - (3 + math.sqrt(3)) / 6) <= 1e-9
-
-
-def test_convex_model_has_no_spinodal_region():
-    convex = GibbsModel(GibbsForm.POLYNOMIAL, (0.0, 0.0, 1.0))  # x^2
-    with pytest.raises(NoSpinodalRegionError):
-        spinodal_interval(convex)
+    assert_allclose(gibbs(DW, x), P.polyval(x, c), rtol=0, atol=1e-12)
+    assert_allclose(dgibbs(DW, x), P.polyval(x, P.polyder(c)), rtol=0, atol=1e-12)
+    assert_allclose(d2gibbs(DW, x), P.polyval(x, P.polyder(c, 2)), rtol=0, atol=1e-12)
 
 
 def test_free_energy_uniform_fields():
@@ -114,8 +104,3 @@ def test_free_energy_rejects_negative_kappa():
     f = ScalarField2D(GridSpec(4, 4), np.zeros((4, 4)))
     with pytest.raises(ValueError):
         free_energy(f, DW, kappa=-0.1)
-
-
-def test_polynomial_model_needs_curvature():
-    with pytest.raises(ValueError):
-        GibbsModel(GibbsForm.POLYNOMIAL, (1.0, 2.0))
