@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fields import GridSpec, ScalarField2D, write_table_csv
+from .fields import GridSpec, NumericalFailure, ScalarField2D, write_table_csv
 
 __all__ = [
     "NoStructureError",
@@ -54,11 +54,11 @@ REPORT_HEADER = ("time,char_length,ti_fraction,n_clusters,largest_cluster,"
                  "spans_x,spans_y,R_eff_x,R_eff_y")
 
 
-class NoStructureError(ValueError):
+class NoStructureError(ValueError, NumericalFailure):
     """The field is constant; no length scale can be extracted."""
 
 
-class LinearSolveError(RuntimeError):
+class LinearSolveError(RuntimeError, NumericalFailure):
     """The Kirchhoff system of a conductivity map has no usable solution:
     a singular elimination block, or a non-finite or non-positive
     electrode current."""

@@ -20,11 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, fitting, render, solver, transport
+# Only what every subcommand needs is imported here.  Each `_cmd_*` imports
+# the package modules it uses when it runs, as modules (`from . import
+# fitting`), so callers and tracers that patch a module attribute still see
+# every call.
 from .config import ConfigError, RunConfig, load_config
-from .fields import (DataFormatError, GridSpec, gaussian_field,
+from .fields import (DataFormatError, GridSpec, NumericalFailure, gaussian_field,
                      read_snapshot_csv, write_snapshot_csv, write_table_csv)
-from .thermo import GibbsModel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,6 +95,7 @@ def _out_dir(path) -> Path:
 
 
 def _cmd_simulate(args) -> int:
+    from . import solver, thermo
     cfg = _load_run_config(args)
     out = _out_dir(cfg.out_dir)
     spec = GridSpec(cfg.nx, cfg.ny, cfg.h)
@@ -101,7 +104,7 @@ def _cmd_simulate(args) -> int:
         D=cfg.D, kappa=cfg.kappa, dt=cfg.dt, n_steps=cfg.n_steps,
         snapshot_times=cfg.snapshot_times, diag_stride=cfg.diag_stride,
         force_dt=args.force_dt)
-    model = GibbsModel()
+    model = thermo.GibbsModel()
     try:
         result = solver.run(init, params, model)
     except solver.StabilityError as err:
@@ -124,6 +127,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _snapshot_paths(in_path: Path) -> list[tuple[float, Path]]:
+    """(time, path) of each snapshot to read, by time.  The time comes from
+    a snap_t<time>.csv name (0 for a single file named otherwise); it must
+    be finite, and no two files may name the same time."""
     if in_path.is_dir():
         found = []
         for p in sorted(in_path.iterdir()):
@@ -135,21 +141,61 @@ def _snapshot_paths(in_path: Path) -> list[tuple[float, Path]]:
                     continue
         if not found:
             raise DataFormatError(f"{in_path}: no snap_t*.csv files found")
-        return sorted(found)
-    m = _SNAP_RE.match(in_path.name)
+    else:
+        m = _SNAP_RE.match(in_path.name)
+        try:
+            found = [(float(m.group(1)) if m else 0.0, in_path)]
+        except ValueError:
+            raise DataFormatError(f"{in_path}: snapshot time {m.group(1)!r} "
+                                  "in the file name is not a number") from None
+    for t, p in found:
+        if not math.isfinite(t):
+            raise DataFormatError(f"{p}: snapshot time {t!r} in the file name "
+                                  "is not finite")
+    found.sort()
+    for (t, p), (t_next, p_next) in zip(found, found[1:]):
+        if t == t_next:
+            raise DataFormatError(f"{p} and {p_next}: both name snapshot time {t:g}")
+    return found
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _warn_if_oversubscribed(workers: int) -> None:
+    """One stderr line when `workers` pool threads, each running BLAS on its
+    own BLAS threads, ask for more threads than there are usable cores:
+    such a run is slower than a serial one.  The package sets no BLAS
+    thread count, so an unset one is taken as one per core (OpenBLAS's
+    default)."""
     try:
-        t = float(m.group(1)) if m else 0.0
-    except ValueError:
-        raise DataFormatError(f"{in_path}: snapshot time {m.group(1)!r} "
-                              "in the file name is not a number") from None
-    return [(t, in_path)]
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    blas = cores
+    for var in _BLAS_THREAD_VARS:
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            blas = n
+            break
+    if workers > 1 and workers * blas > cores:
+        print(f"spinodalkit analyze: warning: {workers} pool workers x {blas} BLAS "
+              f"threads exceed {cores} usable cores, which is slower than a "
+              "serial run; set OPENBLAS_NUM_THREADS=1 or lower --threads",
+              file=sys.stderr)
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis
     cfg = _load_run_config(args)
     out = _out_dir(cfg.out_dir)
-    snapshots = ((t, read_snapshot_csv(path))
-                 for t, path in _snapshot_paths(Path(args.in_path)))
+    paths = _snapshot_paths(Path(args.in_path))
+    # analyze_fields runs two R_eff solves per snapshot on min(threads, solves) workers
+    _warn_if_oversubscribed(min(args.threads, 2 * len(paths)))
+    snapshots = ((t, read_snapshot_csv(path)) for t, path in paths)
     rows = analysis.analyze_fields(snapshots, x_c=cfg.x_c, sigma_ti=cfg.sigma_ti,
                                    sigma_al=cfg.sigma_al, threads=args.threads)
     report = out / "report.csv"
@@ -159,6 +205,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_transport(args) -> int:
+    from . import transport
     out = _out_dir(args.out or ".")
     records = transport.read_transport_csv(args.in_path)
     derived = [transport.derive_transport(r) for r in records]
@@ -173,6 +220,7 @@ def _cmd_transport(args) -> int:
 
 
 def _write_fit_outputs(result, out: Path, stem: str) -> int:
+    from . import fitting
     path = out / f"{stem}.csv"
     fitting.write_fit_csv(path, result)
     print(fitting.fit_report_text(result))
@@ -181,6 +229,7 @@ def _write_fit_outputs(result, out: Path, stem: str) -> int:
 
 
 def _cmd_fit_hc2(args) -> int:
+    from . import fitting
     out = _out_dir(args.out or ".")
     T, muH = fitting.read_xy_csv(args.in_path, ("T_K", "muH_T"))
     if args.model == "gl":
@@ -195,6 +244,7 @@ def _cmd_fit_hc2(args) -> int:
 
 
 def _cmd_fit_resonance(args) -> int:
+    from . import fitting
     out = _out_dir(args.out or ".")
     f, s21 = fitting.read_s21_csv(args.in_path)
     if (np.abs(s21) == 0).any():
@@ -204,6 +254,7 @@ def _cmd_fit_resonance(args) -> int:
 
 
 def _cmd_fit_sigma(args) -> int:
+    from . import fitting
     out = _out_dir(args.out or ".")
     T, sigma = fitting.read_xy_csv(args.in_path, ("T_K", "sigma"))
     regimes = fitting.fit_conductivity_regimes(T, sigma)
@@ -221,6 +272,7 @@ def _cmd_fit_sigma(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import render
     out = _out_dir(args.out or ".")
     targets = _snapshot_paths(Path(args.in_path))
     for _, path in targets:
@@ -287,10 +339,8 @@ def main(argv=None) -> int:
     try:
         args.threads = _resolve_threads(args.threads)
         return args.func(args)
-    # numeric failures first: several of these types subclass ValueError
-    except (solver.StabilityError, analysis.LinearSolveError,
-            analysis.NoStructureError, fitting.SingularFitError,
-            np.linalg.LinAlgError) as err:
+    # numeric failures first: some of them are also ValueErrors
+    except (NumericalFailure, np.linalg.LinAlgError) as err:
         print(f"spinodalkit {args.command}: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as err:  # bad input: config, data files, values

@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "DataFormatError",
+    "NumericalFailure",
     "GridSpec",
     "ScalarField2D",
     "gaussian_field",
@@ -31,6 +32,12 @@ MIN_GRID = 4
 
 class DataFormatError(ValueError):
     """A data file (snapshot, trace, or table CSV) failed to parse."""
+
+
+class NumericalFailure(Exception):
+    """Marker base of the errors that mean a numerical failure (CLI exit 3):
+    the input was valid, but the computation gave no usable result.  The
+    errors that derive from it keep their own builtin base as well."""
 
 
 @dataclass(frozen=True)

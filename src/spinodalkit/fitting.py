@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import read_table_csv, write_table_csv
+from .fields import NumericalFailure, read_table_csv, write_table_csv
 from .transport import CONSTANTS
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
 EXPONENT_CAP = 10.0  # power-law exponents are confined to (0, 10]
 
 
-class SingularFitError(RuntimeError):
+class SingularFitError(RuntimeError, NumericalFailure):
     """Normal equations are numerically singular."""
 
     def __init__(self, message: str, condition: float):

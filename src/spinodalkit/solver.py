@@ -22,7 +22,8 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .fields import ScalarField2D, _laplacian_values, write_table_csv
+from .fields import (NumericalFailure, ScalarField2D, _laplacian_values,
+                     write_table_csv)
 from .thermo import GibbsModel, dgibbs, free_energy
 
 __all__ = [
@@ -41,7 +42,7 @@ __all__ = [
 DIAG_HEADER = "step,time,mass,free_energy,min,max"
 
 
-class StabilityError(RuntimeError):
+class StabilityError(RuntimeError, NumericalFailure):
     """The field diverged, or a diverging dt was requested.
 
     When raised mid-run, `partial` holds the SimulationResult accumulated so
@@ -60,7 +61,8 @@ class TimeStepError(ValueError):
     """The time step is not a positive finite number, although h, D and
     kappa each are: h^4 or 200*D*kappa leaves the float range (h = 1e-100
     gives dt = 0, D = 1e-320 gives dt = inf), or an explicit dt is inf or
-    nan."""
+    nan.  Also raised when a snapshot time is more steps of dt away than a
+    float can count (t = 1e308, or dt = 1e-310)."""
 
 
 @dataclass(frozen=True)
@@ -203,6 +205,9 @@ def run(init: ScalarField2D, params: SolverParams, model: GibbsModel) -> Simulat
 
     snap_steps: dict[int, list[float]] = {}
     for t in params.snapshot_times:
+        if not math.isfinite(t / dt):
+            raise TimeStepError(f"snapshot time {t!r} at dt={dt!r} is {t / dt!r} "
+                                "steps away, beyond the float range")
         k = int(math.ceil(t / dt - 1e-9))
         snap_steps.setdefault(k, []).append(t)
     n_steps = max(snap_steps) if snap_steps else 0

@@ -10,8 +10,9 @@ import threading
 import numpy as np
 import pytest
 
-from spinodalkit import analysis, cli
-from spinodalkit.fields import GridSpec, ScalarField2D, write_snapshot_csv
+from spinodalkit import analysis, cli, fitting, solver
+from spinodalkit.config import ConfigError
+from spinodalkit.fields import DataFormatError, GridSpec, ScalarField2D, write_snapshot_csv
 from spinodalkit.fitting import model_gl_hc2, model_inv_s21, model_powerlaw_hc2
 
 CONFIG = """
@@ -96,16 +97,39 @@ def test_film_data_outputs_match_golden_hashes(tmp_path):
     assert got == FILM_GOLDEN
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
+def test_cli_import_leaves_scipy_special_unloaded(tmp_path):
     # scipy.special costs ~0.3 s of start-up; only gaussian_field needs it.
     # scipy.ndimage costs ~60 ms; only labelling and percolation need it.
-    # concurrent.futures costs ~7 ms; only a threaded analyze needs it
+    # concurrent.futures costs ~7 ms; only a threaded analyze needs it.
+    # The package modules cost ~35 ms together, and each subcommand
+    # imports only those it uses when it runs.
     code = ("import sys, spinodalkit.cli; print(*(m in sys.modules for m in "
             "('scipy.special', 'scipy.ndimage', 'concurrent.futures')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False False False"
+
+    snap = tmp_path / "snap_t1.csv"
+    write_snapshot_csv(ScalarField2D(GridSpec(8, 8), np.full((8, 8), 0.5)), snap)
+    out = ["--out", str(tmp_path / "out")]
+    base = {"cli", "config", "fields"}
+    loaded_after = [
+        ((), base),
+        ((*_film_commands(tmp_path)["fit-sigma"], *out), base | {"fitting", "transport"}),
+        (("render", "--in", str(snap), *out), base | {"render"}),
+    ]
+    code = textwrap.dedent("""
+        import sys
+        from spinodalkit import cli
+        if sys.argv[1:]:
+            assert cli.main(sys.argv[1:]) == 0
+        print(*(m.split(".")[1] for m in sys.modules if m.startswith("spinodalkit.")))
+    """)
+    for argv, expected in loaded_after:
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert set(out.splitlines()[-1].split()) == expected, argv
 
 
 def test_parser_is_built_on_first_main_call_then_reused(tmp_path):
@@ -293,6 +317,42 @@ def test_non_finite_config_value_is_data_error(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["[solver]\nsnapshot_times = 0, 1e308\n",
+                                  "[solver]\ndt = 1e-310\n"], ids=["t_huge", "dt_tiny"])
+def test_overflowing_step_index_is_data_error(tmp_path, capsys, text):
+    # t / dt is inf, so a snapshot time has no step index
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text + "[grid]\nnx = 8\nny = 8\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 2
+    assert "steps away, beyond the float range" in capsys.readouterr().err
+    assert not list(out.glob("snap_t*.csv"))
+
+
+EXIT_CODES = [
+    (solver.StabilityError("diverged"), 3), (analysis.LinearSolveError("singular"), 3),
+    (analysis.NoStructureError("constant field"), 3),
+    (fitting.SingularFitError("singular", 1e20), 3), (np.linalg.LinAlgError("singular"), 3),
+    (DataFormatError("bad row"), 2), (ConfigError("bad key"), 2),
+    (solver.TimeStepError("bad dt"), 2), (ValueError("bad value"), 2),
+    (OSError("no file"), 2),
+]
+
+
+@pytest.mark.parametrize("error,code", EXIT_CODES,
+                         ids=[type(e).__name__ for e, _ in EXIT_CODES])
+def test_exit_code_of_each_error_type(tmp_path, capsys, monkeypatch, error, code):
+    # numerical failures exit 3, bad input (config, data, values, files) 2;
+    # some numerical failures are also ValueErrors
+    def fail(T, sigma):
+        raise error
+
+    monkeypatch.setattr(fitting, "fit_conductivity_regimes", fail)
+    argv = _film_commands(tmp_path)["fit-sigma"]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == f"spinodalkit fit-sigma: {error}\n"
+
+
 def test_threads_env_var(tmp_path, config_path, monkeypatch):
     monkeypatch.setenv("SPINODALKIT_THREADS", "banana")
     assert cli.main(["simulate", "--config", str(config_path),
@@ -393,6 +453,49 @@ def test_analyze_threads_run_reff_solves_concurrently(tmp_path, config_path,
     assert not (tmp_path / "b" / "report.csv").exists()
 
 
+@pytest.mark.parametrize("env,threads,cores,warns", [
+    ({}, "2", 2, True),         # BLAS unset: one thread per core
+    ({"OPENBLAS_NUM_THREADS": "1"}, "2", 2, False),
+    ({"OMP_NUM_THREADS": "1"}, "2", 2, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x", "MKL_NUM_THREADS": "2"},
+     "2", 2, True),             # the first positive integer counts
+    ({"OPENBLAS_NUM_THREADS": "2"}, "4", 4, False),   # 2 solves: 2 workers, not 4
+    ({"OPENBLAS_NUM_THREADS": "3"}, "4", 4, True),
+    ({"OPENBLAS_NUM_THREADS": "4"}, "1", 2, False),   # no pool, only BLAS threads
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2", None, True),  # no affinity call: cpu_count
+], ids=["unset", "openblas_1", "omp_1", "first_positive", "pool_capped", "pool_capped_over",
+        "serial", "cpu_count"])
+def test_analyze_warns_when_pool_and_blas_threads_oversubscribe(
+        tmp_path, monkeypatch, capsys, env, threads, cores, warns):
+    snap = tmp_path / "snap_t1.csv"
+    write_snapshot_csv(ScalarField2D(GridSpec(16, 16),
+                                     np.random.default_rng(5).uniform(0, 1, (16, 16))), snap)
+
+    def analyze(name):
+        assert cli.main(["analyze", "--in", str(snap), "--out", str(tmp_path / name),
+                         "--threads", threads]) == 0
+        return capsys.readouterr(), (tmp_path / name / "report.csv").read_bytes()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    (quiet_out, quiet_err), quiet_report = analyze("serial_blas")
+    assert quiet_err == ""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    if cores is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    (out, err), report = analyze("run")
+    assert (out.replace("run", "serial_blas"), report) == (quiet_out, quiet_report)
+    assert ("BLAS threads exceed" in err) == warns
+    assert err.count("\n") == warns
+
+
 def test_analyze_non_power_of_two_grid(tmp_path):
     ini = tmp_path / "odd.ini"
     ini.write_text(CONFIG.replace("nx = 32", "nx = 48").replace("ny = 32", "ny = 40"))
@@ -431,6 +534,29 @@ def test_non_numeric_snapshot_time_is_data_error(tmp_path, capsys, command):
     write_snapshot_csv(ScalarField2D(GridSpec(4, 4), np.full((4, 4), 0.5)), snap)
     assert cli.main([command, "--in", str(snap), "--out", str(tmp_path)]) == 2
     assert "'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "render"])
+@pytest.mark.parametrize("names", [["snap_tnan.csv"], ["snap_tinf.csv"],
+                                   ["snap_t10.csv", "snap_t1e1.csv"]],
+                         ids=["nan", "inf", "duplicate"])
+def test_non_finite_or_duplicate_snapshot_time_is_data_error(tmp_path, capsys, command,
+                                                             names):
+    # every file is a valid snapshot, but the report would hold a time of
+    # nan or inf, or two rows of one time; a non-finite time fails both as
+    # a single file and in a directory
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    field = ScalarField2D(GridSpec(8, 8), np.random.default_rng(3).uniform(0, 1, (8, 8)))
+    for name in ["snap_t0.csv", *names]:
+        write_snapshot_csv(field, snaps / name)
+    inputs = [snaps] if len(names) > 1 else [snaps, snaps / names[0]]
+    for i, path in enumerate(inputs):
+        out = tmp_path / f"out{i}"
+        assert cli.main([command, "--in", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(str(snaps / name) in err for name in names)
+        assert list(out.iterdir()) == []
 
 
 ROW = "0.5,0.5,0.5,0.5\n"
