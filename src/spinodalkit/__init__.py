@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "fields": ("GridSpec", "ScalarField2D", "field_stats", "gaussian_field",
                "read_snapshot_csv", "write_snapshot_csv"),
-    "thermo": ("GibbsModel", "d2gibbs", "dgibbs", "free_energy", "gibbs",
-               "spinodal_interval"),
+    "thermo": ("d2gibbs", "dgibbs", "free_energy", "gibbs", "spinodal_interval"),
     "solver": ("SolverParams", "StabilityError", "run"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

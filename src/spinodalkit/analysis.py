@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .fields import GridSpec, NumericalFailure, ScalarField2D, write_table_csv
 __all__ = [
     "NoStructureError",
     "LinearSolveError",
-    "Phase",
     "PhaseMap",
     "ClusterLabeling",
     "ConductivityMap",
@@ -91,11 +89,6 @@ def characteristic_length(f: ScalarField2D) -> float:
 # Phase maps and cluster labeling
 # ---------------------------------------------------------------------------
 
-class Phase(Enum):
-    TI_RICH = "ti-rich"
-    AL_RICH = "al-rich"
-
-
 @dataclass(frozen=True)
 class PhaseMap:
     """Per-cell phase tags from thresholding a composition field at x_c
@@ -115,11 +108,9 @@ class PhaseMap:
     def from_field(cls, f: ScalarField2D, x_c: float = 0.5) -> "PhaseMap":
         return cls(spec=f.spec, ti_rich=f.values >= x_c)
 
-    def mask(self, phase: Phase) -> np.ndarray:
-        return self.ti_rich if phase is Phase.TI_RICH else ~self.ti_rich
-
-    def fraction(self, phase: Phase) -> float:
-        return float(self.mask(phase).mean())
+    def fraction(self) -> float:
+        """The Ti-rich fraction of the cells."""
+        return float(self.ti_rich.mean())
 
 
 @dataclass(frozen=True)
@@ -138,14 +129,14 @@ class ClusterLabeling:
         return int(self.sizes.max()) if self.sizes.size else 0
 
 
-def label_clusters(pmap: PhaseMap, phase: Phase = Phase.TI_RICH) -> ClusterLabeling:
-    """Connected components of the chosen phase under 4-connectivity
-    (non-periodic).  Every phase cell gets exactly one positive label;
-    sizes sum to the phase's cell count."""
+def label_clusters(pmap: PhaseMap) -> ClusterLabeling:
+    """Connected components of the Ti-rich cells under 4-connectivity
+    (non-periodic).  Every Ti-rich cell gets exactly one positive label;
+    sizes sum to the Ti-rich cell count."""
     # scipy.ndimage is imported on first use: it adds ~60 ms (~15%) to the
     # CLI's start-up, which every subcommand pays, while only analysis needs it
     from scipy import ndimage
-    labels = ndimage.label(pmap.mask(phase))[0]
+    labels = ndimage.label(pmap.ti_rich)[0]
     return ClusterLabeling(labels=labels, sizes=np.bincount(labels.ravel())[1:])
 
 
@@ -415,11 +406,11 @@ def analyze_fields(items, x_c: float = 0.5, sigma_ti: float = 1.0,
     rows, cmaps = [], []
     for time, f in items:
         pmap = PhaseMap.from_field(f, x_c)
-        labeling = label_clusters(pmap, Phase.TI_RICH)
+        labeling = label_clusters(pmap)
         rows.append(dict(
             time=time,
             char_length=characteristic_length(f),
-            ti_fraction=pmap.fraction(Phase.TI_RICH),
+            ti_fraction=pmap.fraction(),
             n_clusters=labeling.n_clusters,
             largest_cluster=labeling.largest,
             spans_x=spans(labeling, "x"),

@@ -95,7 +95,7 @@ def _out_dir(path) -> Path:
 
 
 def _cmd_simulate(args) -> int:
-    from . import solver, thermo
+    from . import solver
     cfg = _load_run_config(args)
     out = _out_dir(cfg.out_dir)
     spec = GridSpec(cfg.nx, cfg.ny, cfg.h)
@@ -104,9 +104,8 @@ def _cmd_simulate(args) -> int:
         D=cfg.D, kappa=cfg.kappa, dt=cfg.dt, n_steps=cfg.n_steps,
         snapshot_times=cfg.snapshot_times, diag_stride=cfg.diag_stride,
         force_dt=args.force_dt)
-    model = thermo.GibbsModel()
     try:
-        result = solver.run(init, params, model)
+        result = solver.run(init, params)
     except solver.StabilityError as err:
         if err.partial is not None:
             for t, snap in err.partial.snapshots.items():

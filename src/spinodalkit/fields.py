@@ -78,28 +78,15 @@ class ScalarField2D:
         return ScalarField2D(self.spec, values)
 
 
-def _uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform doubles in [0,1): element i of the stream is a pure function of (seed, start+i).
-
-    Philox consumes one 64-bit word per double and advance() jumps whole
-    128-bit counter blocks (4 doubles), so generation is aligned to blocks
-    and sliced. Any chunking of [start, start+count) reproduces the same
-    values, which is what makes a parallel fill deterministic.
-    """
-    block = start // 4
-    pad = start - 4 * block
-    bitgen = np.random.Philox(key=np.uint64(seed))
-    if block:
-        bitgen.advance(block)
-    u = np.random.Generator(bitgen).random(pad + count)
-    return u[pad:]
+def _uniform_stream(seed: int, count: int) -> np.ndarray:
+    """The first `count` uniform doubles in [0,1) of the Philox stream keyed by seed."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(count)
 
 
 def gaussian_field(spec: GridSpec, mean: float, variance: float, seed: int) -> ScalarField2D:
     """i.i.d. N(mean, variance) field, bit-reproducible for a given seed.
 
-    Cell (i, j) draws stream element i*nx + j, so the result does not depend
-    on how the fill is chunked across workers.
+    Cell (i, j) draws stream element i*nx + j.
     """
     if variance < 0:
         raise ValueError(f"variance must be non-negative, got {variance}")
@@ -107,7 +94,7 @@ def gaussian_field(spec: GridSpec, mean: float, variance: float, seed: int) -> S
         raise ValueError(f"mean must lie in [0, 1], got {mean}")
     # imported here: scipy.special adds ~0.3 s to every CLI start otherwise
     from scipy.special import ndtri
-    u = _uniform_stream(seed, 0, spec.n_cells)
+    u = _uniform_stream(seed, spec.n_cells)
     # guard u=0 so ndtri stays finite; probability 2^-53 per cell
     u = np.maximum(u, np.finfo(np.float64).tiny)
     values = mean + np.sqrt(variance) * ndtri(u)

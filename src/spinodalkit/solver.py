@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import (NumericalFailure, ScalarField2D, _laplacian_values,
                      write_table_csv)
-from .thermo import GibbsModel, dgibbs, free_energy
+from .thermo import dgibbs, free_energy
 
 __all__ = [
     "SolverParams",
@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 DIAG_HEADER = "step,time,mass,free_energy,min,max"
+
+# Above 2**53 not every integer is a float, so neither a step's time
+# step * dt nor the step index ceil(t / dt) of a snapshot time is exact.
+_MAX_STEPS = 2 ** 53
 
 
 class StabilityError(RuntimeError, NumericalFailure):
@@ -62,7 +66,8 @@ class TimeStepError(ValueError):
     kappa each are: h^4 or 200*D*kappa leaves the float range (h = 1e-100
     gives dt = 0, D = 1e-320 gives dt = inf), or an explicit dt is inf or
     nan.  Also raised when a snapshot time is more steps of dt away than a
-    float can count (t = 1e308, or dt = 1e-310)."""
+    float can count (t = 1e308, or dt = 1e-310), or when the run needs more
+    than 2**53 steps (t = 1e15 at dt = 0.005, or n_steps = 1e17)."""
 
 
 @dataclass(frozen=True)
@@ -138,27 +143,27 @@ def max_stable_dt(h: float, D: float, kappa: float) -> float:
     return h ** 4 / (16.0 * D * kappa)
 
 
-def _chemical_potential(values: np.ndarray, h: float, model: GibbsModel, kappa: float,
-                        out: np.ndarray, lap: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _chemical_potential(values: np.ndarray, h: float, kappa: float, out: np.ndarray,
+                        lap: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """G'(x) - (2 kappa) lap(x) into `out`; `lap` and `tmp` are scratch.
 
     None of the buffers may overlap `values`.
     """
     lap = _laplacian_values(values, h, lap, tmp)
-    mu = dgibbs(model, values, out)
+    mu = dgibbs(values, out)
     lap *= 2.0 * kappa
     mu -= lap
     return mu
 
 
-def _euler_step(values: np.ndarray, h: float, model: GibbsModel, D: float, kappa: float,
-                dt: float, out: np.ndarray, lap: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _euler_step(values: np.ndarray, h: float, D: float, kappa: float, dt: float,
+                out: np.ndarray, lap: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """x + (dt D) lap(mu) into `out`, with `lap` and `mu` as scratch.
 
     `out` doubles as scratch until the last operation.  None of the
     buffers may overlap `values`.
     """
-    mu = _chemical_potential(values, h, model, kappa, mu, lap, out)
+    mu = _chemical_potential(values, h, kappa, mu, lap, out)
     _laplacian_values(mu, h, lap, out)
     lap *= dt * D
     return np.add(values, lap, out=out)
@@ -174,11 +179,11 @@ def _check_sane(values: np.ndarray, step: int, time: float) -> None:
 
 
 def _diag(vals: np.ndarray, template: ScalarField2D, step: int, dt: float,
-          model: GibbsModel, kappa: float) -> DiagnosticsRecord:
+          kappa: float) -> DiagnosticsRecord:
     return DiagnosticsRecord(
         step=step, time=step * dt,
         mass=float(vals.mean()),
-        free_energy=free_energy(template.with_values(vals), model, kappa),
+        free_energy=free_energy(template.with_values(vals), kappa),
         min=float(vals.min()), max=float(vals.max()))
 
 
@@ -190,7 +195,7 @@ def _guard_dt(dt: float, h: float, params: SolverParams) -> None:
             "(h^4/(16*D*kappa)); pass force_dt to override")
 
 
-def run(init: ScalarField2D, params: SolverParams, model: GibbsModel) -> SimulationResult:
+def run(init: ScalarField2D, params: SolverParams) -> SimulationResult:
     """Integrate from `init` through the snapshot schedule.
 
     Snapshots are taken at the nearest step at or after each requested time
@@ -213,6 +218,9 @@ def run(init: ScalarField2D, params: SolverParams, model: GibbsModel) -> Simulat
     n_steps = max(snap_steps) if snap_steps else 0
     if params.n_steps is not None:
         n_steps = max(n_steps, params.n_steps)
+    if n_steps > _MAX_STEPS:
+        raise TimeStepError(f"the run needs {n_steps} steps of dt={dt!r}, more than "
+                            "2**53, beyond which step times are not exact")
 
     result = SimulationResult(dt=dt, n_steps=n_steps)
     # The step reads `values` and writes `new_values`; the two swap after
@@ -222,7 +230,7 @@ def run(init: ScalarField2D, params: SolverParams, model: GibbsModel) -> Simulat
     h = spec.h
 
     def record(step: int, vals: np.ndarray) -> None:
-        result.diagnostics.append(_diag(vals, init, step, dt, model, params.kappa))
+        result.diagnostics.append(_diag(vals, init, step, dt, params.kappa))
 
     def snapshot(step: int, vals: np.ndarray) -> None:
         for t in snap_steps.get(step, ()):
@@ -231,7 +239,7 @@ def run(init: ScalarField2D, params: SolverParams, model: GibbsModel) -> Simulat
     record(0, values)
     snapshot(0, values)
     for step in range(1, n_steps + 1):
-        _euler_step(values, h, model, params.D, params.kappa, dt, new_values, lap, mu)
+        _euler_step(values, h, params.D, params.kappa, dt, new_values, lap, mu)
         try:
             _check_sane(new_values, step, step * dt)
         except StabilityError as err:

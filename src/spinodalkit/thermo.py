@@ -1,5 +1,7 @@
 """Double-well bulk free energy, spinodal interval and free-energy functional.
 
+The package has one bulk free energy, the Cahn-Hilliard double well
+G(x) = x^2 (1-x)^2; the functions here evaluate that one model.
 All thermodynamic quantities are dimensionless solver units. The functional
 uses kappa*|grad x|^2, whose variational derivative is -2*kappa*laplacian(x);
 factor-of-two conventions differ across the literature, so this one is fixed
@@ -9,14 +11,12 @@ here and the solver's chemical potential matches it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ScalarField2D
 
 __all__ = [
-    "GibbsModel",
     "gibbs",
     "dgibbs",
     "d2gibbs",
@@ -25,18 +25,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GibbsModel:
-    """The bulk free energy: the double well G(x) = x^2 (1-x)^2."""
-
-
-def gibbs(model: GibbsModel, x):
+def gibbs(x):
     """Bulk free energy G(x); evaluation outside [0,1] is allowed."""
     x = np.asarray(x, dtype=np.float64)
     return (x * (1.0 - x)) ** 2
 
 
-def dgibbs(model: GibbsModel, x, out: np.ndarray | None = None):
+def dgibbs(x, out: np.ndarray | None = None):
     """G'(x) = x*(2 + x*(-6 + 4x)) = 4x^3 - 6x^2 + 2x.
 
     With `out` (an array of x's shape, not overlapping x) the result is
@@ -51,20 +46,20 @@ def dgibbs(model: GibbsModel, x, out: np.ndarray | None = None):
     return out
 
 
-def d2gibbs(model: GibbsModel, x):
+def d2gibbs(x):
     """G''(x) = 12x^2 - 12x + 2."""
     x = np.asarray(x, dtype=np.float64)
     return 2.0 + x * (-12.0 + 12.0 * x)
 
 
-def spinodal_interval(model: GibbsModel) -> tuple[float, float]:
+def spinodal_interval() -> tuple[float, float]:
     """((3 - sqrt 3)/6, (3 + sqrt 3)/6), where G'' < 0: the roots of
     12x^2 - 12x + 2."""
     r = math.sqrt(3.0) / 6.0
     return 0.5 - r, 0.5 + r
 
 
-def free_energy(f: ScalarField2D, model: GibbsModel, kappa: float) -> float:
+def free_energy(f: ScalarField2D, kappa: float) -> float:
     """Total free energy F = sum over cells of [G(x) + kappa |grad x|^2] h^2.
 
     The gradient is a centered periodic difference. This functional is a
@@ -77,5 +72,5 @@ def free_energy(f: ScalarField2D, model: GibbsModel, kappa: float) -> float:
     h = f.spec.h
     gx = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * h)
     gy = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * h)
-    density = gibbs(model, v) + kappa * (gx * gx + gy * gy)
+    density = gibbs(v) + kappa * (gx * gx + gy * gy)
     return float(density.sum() * h * h)

@@ -23,31 +23,29 @@ from spinodalkit.fitting import (fit_conductivity_regimes, fit_gl_hc2,
                                  model_gl_hc2, model_inv_s21,
                                  model_powerlaw_hc2)
 from spinodalkit.solver import SolverParams, run
-from spinodalkit.thermo import GibbsModel, spinodal_interval
+from spinodalkit.thermo import spinodal_interval
 from spinodalkit.transport import (CONSTANTS, free_electron_params,
                                    sheet_inductance_from_lambda,
                                    sheet_kinetic_inductance,
                                    specific_inductance)
-
-MODEL = GibbsModel()
 
 
 @pytest.fixture(scope="module")
 def run128():
     init = gaussian_field(GridSpec(128, 128), 0.48, 1e-3, seed=3)
     params = SolverParams(snapshot_times=(), n_steps=10_000, diag_stride=1)
-    return run(init, params, MODEL)
+    return run(init, params)
 
 
 @pytest.fixture(scope="module")
 def run256():
     init = gaussian_field(GridSpec(256, 256), 0.48, 1e-3, seed=1)
     params = SolverParams(snapshot_times=(10.0, 50.0, 500.0))
-    return run(init, params, MODEL)
+    return run(init, params)
 
 
 def test_c01_spinodal_interval():
-    lo, hi = spinodal_interval(MODEL)
+    lo, hi = spinodal_interval()
     assert abs(lo - (3 - math.sqrt(3)) / 6) <= 1e-12
     assert abs(hi - (3 + math.sqrt(3)) / 6) <= 1e-12
     print(f"criterion 1: spinodal interval ({lo:.15f}, {hi:.15f})")

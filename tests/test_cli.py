@@ -317,15 +317,20 @@ def test_non_finite_config_value_is_data_error(tmp_path, capsys, text):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ["[solver]\nsnapshot_times = 0, 1e308\n",
-                                  "[solver]\ndt = 1e-310\n"], ids=["t_huge", "dt_tiny"])
-def test_overflowing_step_index_is_data_error(tmp_path, capsys, text):
+@pytest.mark.parametrize("text,message", [
     # t / dt is inf, so a snapshot time has no step index
+    ("[solver]\nsnapshot_times = 0, 1e308\n", "steps away, beyond the float range"),
+    ("[solver]\ndt = 1e-310\n", "steps away, beyond the float range"),
+    # finite, but more than 2**53 steps of dt away
+    ("[solver]\nsnapshot_times = 0, 1e15\n", "more than 2**53"),
+    ("[solver]\nn_steps = 100000000000000000\n", "more than 2**53"),
+], ids=["t_huge", "dt_tiny", "t_1e15", "n_steps_1e17"])
+def test_overflowing_step_index_is_data_error(tmp_path, capsys, text, message):
     ini = tmp_path / "bad.ini"
     ini.write_text(text + "[grid]\nnx = 8\nny = 8\n")
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 2
-    assert "steps away, beyond the float range" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not list(out.glob("snap_t*.csv"))
 
 

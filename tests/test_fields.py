@@ -3,9 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinodalkit.fields import (DataFormatError, GridSpec, ScalarField2D,
-                                _laplacian_values, _uniform_stream, field_stats,
-                                gaussian_field, read_snapshot_csv,
-                                write_snapshot_csv)
+                                _laplacian_values, field_stats, gaussian_field,
+                                read_snapshot_csv, write_snapshot_csv)
 
 
 def test_grid_spec_rejects_small_grids():
@@ -61,21 +60,6 @@ def test_gaussian_field_validates_inputs():
         gaussian_field(spec, 0.5, -1e-3, seed=0)
     with pytest.raises(ValueError):
         gaussian_field(spec, 1.5, 1e-3, seed=0)
-
-
-def test_uniform_stream_is_chunking_independent():
-    # per-cell values are a pure function of (seed, index): any split of the
-    # index range reproduces the same stream, so a parallel fill is
-    # deterministic regardless of worker boundaries
-    full = _uniform_stream(9, 0, 101)
-    parts = np.concatenate([
-        _uniform_stream(9, 0, 17),
-        _uniform_stream(9, 17, 40),
-        _uniform_stream(9, 57, 44),
-    ])
-    assert np.array_equal(full, parts)
-    for k in (0, 1, 3, 4, 63, 100):
-        assert _uniform_stream(9, k, 1)[0] == full[k]
 
 
 def laplacian(v, h=1.0):

@@ -4,9 +4,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
-from spinodalkit.analysis import (ConductivityMap, LinearSolveError, Phase,
-                                  PhaseMap, dense_sheet_resistance,
-                                  effective_sheet_resistance)
+from spinodalkit.analysis import (ConductivityMap, LinearSolveError, PhaseMap,
+                                  dense_sheet_resistance, effective_sheet_resistance)
 from spinodalkit.fields import GridSpec
 
 

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -16,8 +18,11 @@ def test_every_exported_name_resolves(name):
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def _perfbench_hooks():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -30,3 +35,24 @@ def test_benchmark_tracer_hook_points_exist():
     missing = [f"{mod}.{attr}" for mod, attr, _, _ in _perfbench_hooks()
                if not hasattr(importlib.import_module(mod), attr)]
     assert missing == []
+
+
+def test_readme_library_example_matches_the_api():
+    # the example is not run (its 256^2 solve to t=500 takes a minute), so
+    # its imports and the argument count of each call into the package are
+    # checked against the code instead
+    section = (ROOT / "README.md").read_text().split("## Library use", 1)[1]
+    tree = ast.parse(section.split("```python\n", 1)[1].split("```", 1)[0])
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("spinodalkit"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                names[alias.asname or alias.name] = getattr(module, alias.name)
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in names:
+            inspect.signature(names[node.func.id]).bind(
+                *node.args, **{k.arg: k.value for k in node.keywords})
+            called.add(node.func.id)
+    assert "run" in called

@@ -10,14 +10,12 @@ from spinodalkit.solver import (DIAG_HEADER, SolverParams, StabilityError,
                                 TimeStepError, _chemical_potential, default_dt,
                                 max_stable_dt, run, snapshot_filename,
                                 write_diagnostics_csv)
-from spinodalkit.thermo import GibbsModel, d2gibbs, dgibbs, free_energy
-
-MODEL = GibbsModel()
+from spinodalkit.thermo import d2gibbs, dgibbs, free_energy
 
 
 def chemical_potential(v, h, kappa):
     out, lap, tmp = (np.empty(v.shape) for _ in range(3))
-    return _chemical_potential(v, h, MODEL, kappa, out, lap, tmp)
+    return _chemical_potential(v, h, kappa, out, lap, tmp)
 
 
 def test_dt_defaults():
@@ -46,7 +44,7 @@ def test_dt_above_ceiling_is_rejected():
     f = gaussian_field(GridSpec(16, 16), 0.48, 1e-3, seed=0)
     bad = SolverParams(dt=0.1, snapshot_times=(0.1,))
     with pytest.raises(StabilityError):
-        run(f, bad, MODEL)
+        run(f, bad)
 
 
 @pytest.mark.parametrize("h,params", [
@@ -60,7 +58,7 @@ def test_dt_above_ceiling_is_rejected():
 def test_unusable_dt_is_rejected_before_any_step(h, params):
     f = gaussian_field(GridSpec(8, 8, h), 0.48, 1e-3, seed=0)
     with pytest.raises(TimeStepError, match=r"h=.*, D=.*, kappa="):
-        run(f, params, MODEL)
+        run(f, params)
 
 
 def test_forced_unstable_dt_trips_divergence_guard():
@@ -70,7 +68,7 @@ def test_forced_unstable_dt_trips_divergence_guard():
     params = SolverParams(dt=0.5, n_steps=1000, snapshot_times=(),
                           force_dt=True)
     with pytest.raises(StabilityError) as info:
-        run(f, params, MODEL)
+        run(f, params)
     assert info.value.step is not None and info.value.step <= 1000
     assert f"step {info.value.step}" in str(info.value)
 
@@ -79,7 +77,7 @@ def test_abort_carries_partial_result_and_last_stable_field():
     f = gaussian_field(GridSpec(32, 32), 0.48, 1e-3, seed=0)
     params = SolverParams(dt=0.06, snapshot_times=(0.0, 600.0))
     with pytest.raises(StabilityError) as info:
-        run(f, params, MODEL)
+        run(f, params)
     err = info.value
     assert err.partial is not None
     assert 0.0 in err.partial.snapshots
@@ -90,7 +88,7 @@ def test_abort_carries_partial_result_and_last_stable_field():
 def test_chemical_potential_of_uniform_field():
     c = 0.3
     mu = chemical_potential(np.full((8, 8), c), 1.0, kappa=1.0)
-    assert_allclose(mu, float(dgibbs(MODEL, c)), rtol=1e-14)
+    assert_allclose(mu, float(dgibbs(c)), rtol=1e-14)
     half = chemical_potential(np.full((8, 8), 0.5), 1.0, kappa=1.0)
     assert np.array_equal(half, np.zeros((8, 8)))
 
@@ -100,14 +98,14 @@ def test_chemical_potential_linearized_about_half():
     i = np.arange(nx)
     c = np.tile(np.cos(2 * np.pi * i / nx), (ny, 1))
     q1 = 2.0 - 2.0 * np.cos(2 * np.pi / nx)  # stencil eigenvalue at h=1
-    expected = (d2gibbs(MODEL, 0.5) + 2.0 * kappa * q1) * eps * c
+    expected = (d2gibbs(0.5) + 2.0 * kappa * q1) * eps * c
     mu = chemical_potential(0.5 + eps * c, 1.0, kappa)
     assert_allclose(mu, expected, rtol=1e-4, atol=1e-15)
 
 
 def test_single_step_conserves_mean():
     f = gaussian_field(GridSpec(64, 64), 0.48, 1e-3, seed=1)
-    res = run(f, SolverParams(n_steps=1, snapshot_times=()), MODEL)
+    res = run(f, SolverParams(n_steps=1, snapshot_times=()))
     m0 = f.values.mean()
     assert abs(res.final.values.mean() - m0) <= 1e-13 * abs(m0)
     assert res.n_steps == 1
@@ -117,23 +115,23 @@ def test_single_step_conserves_mean():
 
 def test_uniform_field_is_a_fixed_point():
     f = ScalarField2D(GridSpec(16, 16), np.full((16, 16), 0.37))
-    res = run(f, SolverParams(n_steps=3, snapshot_times=()), MODEL)
+    res = run(f, SolverParams(n_steps=3, snapshot_times=()))
     assert_allclose(res.final.values, 0.37, rtol=0, atol=1e-15)
 
 
 def test_energy_decreases_over_100_steps():
     f = gaussian_field(GridSpec(128, 128), 0.48, 1e-3, seed=2)
     params = SolverParams(dt=1e-3, n_steps=100, snapshot_times=())
-    res = run(f, params, MODEL)
-    e0 = free_energy(f, MODEL, 1.0)
-    e1 = free_energy(res.final, MODEL, 1.0)
+    res = run(f, params)
+    e0 = free_energy(f, 1.0)
+    e1 = free_energy(res.final, 1.0)
     assert e1 < e0
 
 
 def test_run_snapshot_schedule():
     f = gaussian_field(GridSpec(16, 16), 0.48, 1e-3, seed=3)
     params = SolverParams(dt=0.003, snapshot_times=(0.0, 0.01, 0.3))
-    res = run(f, params, MODEL)
+    res = run(f, params)
     assert sorted(res.snapshots) == [0.0, 0.01, 0.3]
     assert np.array_equal(res.snapshots[0.0].values, f.values)
     # nearest step at or after: 0.01/0.003 -> step 4, 0.3/0.003 -> step 100
@@ -144,7 +142,7 @@ def test_run_snapshot_schedule():
 
 def test_run_respects_explicit_n_steps():
     f = gaussian_field(GridSpec(16, 16), 0.48, 1e-3, seed=3)
-    res = run(f, SolverParams(n_steps=37, snapshot_times=()), MODEL)
+    res = run(f, SolverParams(n_steps=37, snapshot_times=()))
     assert res.n_steps == 37
     assert res.diagnostics[-1].step == 37
 
@@ -152,25 +150,25 @@ def test_run_respects_explicit_n_steps():
 def test_run_is_deterministic():
     f = gaussian_field(GridSpec(32, 32), 0.48, 1e-3, seed=4)
     params = SolverParams(n_steps=50, snapshot_times=(0.1,))
-    a = run(f, params, MODEL)
-    b = run(f, params, MODEL)
+    a = run(f, params)
+    b = run(f, params)
     assert np.array_equal(a.snapshots[0.1].values, b.snapshots[0.1].values)
     assert np.array_equal(a.final.values, b.final.values)
 
 
 def test_restarted_run_continues_the_trajectory_exactly():
     f = gaussian_field(GridSpec(16, 16), 0.48, 1e-3, seed=5)
-    first = run(f, SolverParams(n_steps=3, snapshot_times=()), MODEL)
-    rest = run(first.final, SolverParams(n_steps=4, snapshot_times=()), MODEL)
-    whole = run(f, SolverParams(n_steps=7, snapshot_times=()), MODEL)
+    first = run(f, SolverParams(n_steps=3, snapshot_times=()))
+    rest = run(first.final, SolverParams(n_steps=4, snapshot_times=()))
+    whole = run(f, SolverParams(n_steps=7, snapshot_times=()))
     assert np.array_equal(rest.final.values, whole.final.values)
 
 
 def test_mirrored_initial_conditions_evolve_mirrored():
     f = gaussian_field(GridSpec(32, 32), 0.48, 1e-3, seed=6)
     g = f.with_values(1.0 - f.values)
-    ra = run(f, SolverParams(n_steps=200, snapshot_times=()), MODEL)
-    rb = run(g, SolverParams(n_steps=200, snapshot_times=()), MODEL)
+    ra = run(f, SolverParams(n_steps=200, snapshot_times=()))
+    rb = run(g, SolverParams(n_steps=200, snapshot_times=()))
     assert np.abs((1.0 - rb.final.values) - ra.final.values).max() <= 1e-12
 
 
@@ -182,7 +180,7 @@ def test_snapshot_filenames():
 
 def test_diagnostics_csv_round_trip(tmp_path):
     f = gaussian_field(GridSpec(16, 16), 0.48, 1e-3, seed=7)
-    res = run(f, SolverParams(n_steps=10, diag_stride=5, snapshot_times=()), MODEL)
+    res = run(f, SolverParams(n_steps=10, diag_stride=5, snapshot_times=()))
     path = tmp_path / "diag.csv"
     write_diagnostics_csv(path, res.diagnostics)
     lines = path.read_text().splitlines()
@@ -196,19 +194,19 @@ def test_diagnostics_csv_round_trip(tmp_path):
 def test_run_outputs_share_no_memory_and_stay_fixed():
     f = gaussian_field(GridSpec(16, 16), 0.48, 1e-3, seed=8)
     times = (0.0, 0.01, 0.02, 0.05)
-    res = run(f, SolverParams(snapshot_times=times), MODEL)
+    res = run(f, SolverParams(snapshot_times=times))
     arrays = [res.snapshots[t].values for t in times] + [res.final.values]
     for i, a in enumerate(arrays):
         assert not np.shares_memory(a, f.values)
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
     before = [a.copy() for a in arrays]
-    run(f, SolverParams(snapshot_times=times), MODEL)
+    run(f, SolverParams(snapshot_times=times))
     for a, b in zip(arrays, before):
         assert np.array_equal(a, b)
     # each snapshot holds the field of its own step, not a later one
     for t in times[1:]:
-        alone = run(f, SolverParams(snapshot_times=(t,)), MODEL)
+        alone = run(f, SolverParams(snapshot_times=(t,)))
         assert np.array_equal(res.snapshots[t].values, alone.final.values)
 
 
@@ -216,7 +214,7 @@ def test_stability_error_fields_share_no_memory_and_stay_fixed():
     f = gaussian_field(GridSpec(32, 32), 0.48, 1e-3, seed=0)
     params = SolverParams(dt=0.06, snapshot_times=(0.0, 0.06, 0.12, 600.0))
     with pytest.raises(StabilityError) as info:
-        run(f, params, MODEL)
+        run(f, params)
     err = info.value
     snaps = [err.partial.snapshots[t].values for t in (0.0, 0.06, 0.12)]
     arrays = snaps + [err.last_stable.values]
@@ -225,11 +223,11 @@ def test_stability_error_fields_share_no_memory_and_stay_fixed():
             assert not np.shares_memory(a, b)
     before = [a.copy() for a in arrays]
     with pytest.raises(StabilityError):
-        run(f, params, MODEL)
+        run(f, params)
     for a, b in zip(arrays, before):
         assert np.array_equal(a, b)
     # last_stable is the field one step before the divergence
-    upto = run(f, SolverParams(dt=0.06, n_steps=err.step - 1, snapshot_times=()), MODEL)
+    upto = run(f, SolverParams(dt=0.06, n_steps=err.step - 1, snapshot_times=()))
     assert np.array_equal(err.last_stable.values, upto.final.values)
 
 

@@ -5,40 +5,37 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinodalkit.fields import GridSpec, ScalarField2D
-from spinodalkit.thermo import (GibbsModel, d2gibbs, dgibbs, free_energy,
-                                gibbs, spinodal_interval)
-
-DW = GibbsModel()
+from spinodalkit.thermo import d2gibbs, dgibbs, free_energy, gibbs, spinodal_interval
 
 
 def test_double_well_minima_and_midpoint():
-    assert gibbs(DW, 0.0) == 0.0
-    assert gibbs(DW, 1.0) == 0.0
-    assert gibbs(DW, 0.5) == 0.0625
+    assert gibbs(0.0) == 0.0
+    assert gibbs(1.0) == 0.0
+    assert gibbs(0.5) == 0.0625
 
 
 def test_double_well_symmetry():
     x = np.linspace(-0.2, 1.2, 57)
-    assert_allclose(gibbs(DW, x), gibbs(DW, 1.0 - x), rtol=0, atol=1e-15)
+    assert_allclose(gibbs(x), gibbs(1.0 - x), rtol=0, atol=1e-15)
 
 
 def test_derivative_point_values():
-    assert dgibbs(DW, 0.5) == 0.0
-    assert d2gibbs(DW, 0.5) == -1.0
-    assert d2gibbs(DW, 0.0) == 2.0
-    assert d2gibbs(DW, 1.0) == 2.0
+    assert dgibbs(0.5) == 0.0
+    assert d2gibbs(0.5) == -1.0
+    assert d2gibbs(0.0) == 2.0
+    assert d2gibbs(1.0) == 2.0
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-4])
 def test_dgibbs_matches_finite_difference(delta):
     # central-difference error is G'''(x) delta^2 / 6; |G'''| <= 17 on the range
     x = np.linspace(-0.2, 1.2, 141)
-    fd = (gibbs(DW, x + delta) - gibbs(DW, x - delta)) / (2 * delta)
-    assert np.abs(dgibbs(DW, x) - fd).max() <= 3.0 * delta**2
+    fd = (gibbs(x + delta) - gibbs(x - delta)) / (2 * delta)
+    assert np.abs(dgibbs(x) - fd).max() <= 3.0 * delta**2
 
 
 def test_spinodal_interval_closed_form():
-    lo, hi = spinodal_interval(DW)
+    lo, hi = spinodal_interval()
     assert abs(lo - (3 - math.sqrt(3)) / 6) <= 1e-12
     assert abs(hi - (3 + math.sqrt(3)) / 6) <= 1e-12
     assert lo < 0.48 < hi
@@ -46,19 +43,18 @@ def test_spinodal_interval_closed_form():
 
 
 def test_spinodal_endpoints_are_inflection_points():
-    lo, hi = spinodal_interval(DW)
-    assert abs(d2gibbs(DW, lo)) <= 1e-10
-    assert abs(d2gibbs(DW, hi)) <= 1e-10
+    lo, hi = spinodal_interval()
+    assert abs(d2gibbs(lo)) <= 1e-10
+    assert abs(d2gibbs(hi)) <= 1e-10
     inside = np.linspace(lo + 1e-6, hi - 1e-6, 101)
-    assert (d2gibbs(DW, inside) < 0).all()
+    assert (d2gibbs(inside) < 0).all()
 
 
-@pytest.mark.parametrize("model", [DW], ids=["double-well"])
-def test_dgibbs_into_out_matches_allocating_call(model):
+def test_dgibbs_into_out_matches_allocating_call():
     x = np.random.default_rng(4).uniform(-0.5, 1.5, (6, 9))
     buf = np.empty_like(x)
-    assert dgibbs(model, x, out=buf) is buf
-    assert np.array_equal(buf, dgibbs(model, x))
+    assert dgibbs(x, out=buf) is buf
+    assert np.array_equal(buf, dgibbs(x))
 
 
 def test_double_well_matches_polynomial_coefficients():
@@ -66,17 +62,17 @@ def test_double_well_matches_polynomial_coefficients():
     P = np.polynomial.polynomial
     c = (0.0, 0.0, 1.0, -2.0, 1.0)
     x = np.linspace(-0.5, 1.5, 33)
-    assert_allclose(gibbs(DW, x), P.polyval(x, c), rtol=0, atol=1e-12)
-    assert_allclose(dgibbs(DW, x), P.polyval(x, P.polyder(c)), rtol=0, atol=1e-12)
-    assert_allclose(d2gibbs(DW, x), P.polyval(x, P.polyder(c, 2)), rtol=0, atol=1e-12)
+    assert_allclose(gibbs(x), P.polyval(x, c), rtol=0, atol=1e-12)
+    assert_allclose(dgibbs(x), P.polyval(x, P.polyder(c)), rtol=0, atol=1e-12)
+    assert_allclose(d2gibbs(x), P.polyval(x, P.polyder(c, 2)), rtol=0, atol=1e-12)
 
 
 def test_free_energy_uniform_fields():
     spec = GridSpec(8, 16)
     zero = ScalarField2D(spec, np.zeros((16, 8)))
-    assert free_energy(zero, DW, kappa=1.0) == 0.0
+    assert free_energy(zero, kappa=1.0) == 0.0
     half = ScalarField2D(spec, np.full((16, 8), 0.5))
-    assert_allclose(free_energy(half, DW, kappa=1.0), 8 * 16 / 16.0, rtol=1e-14)
+    assert_allclose(free_energy(half, kappa=1.0), 8 * 16 / 16.0, rtol=1e-14)
 
 
 def test_free_energy_sinusoid_gradient_term():
@@ -88,8 +84,8 @@ def test_free_energy_sinusoid_gradient_term():
     f = ScalarField2D(GridSpec(nx, ny, h), v)
     k_d = math.sin(2 * math.pi / nx) / h
     gradient_term = kappa * eps**2 * (nx * ny / 2) * k_d**2 * h**2
-    bulk = float(gibbs(DW, v).sum()) * h**2
-    assert_allclose(free_energy(f, DW, kappa), bulk + gradient_term, rtol=1e-10)
+    bulk = float(gibbs(v).sum()) * h**2
+    assert_allclose(free_energy(f, kappa), bulk + gradient_term, rtol=1e-10)
 
 
 def test_free_energy_mirror_symmetry():
@@ -97,10 +93,10 @@ def test_free_energy_mirror_symmetry():
     v = rng.random((16, 16))
     f = ScalarField2D(GridSpec(16, 16), v)
     g = ScalarField2D(GridSpec(16, 16), 1.0 - v)
-    assert_allclose(free_energy(f, DW, 1.0), free_energy(g, DW, 1.0), rtol=1e-12)
+    assert_allclose(free_energy(f, 1.0), free_energy(g, 1.0), rtol=1e-12)
 
 
 def test_free_energy_rejects_negative_kappa():
     f = ScalarField2D(GridSpec(4, 4), np.zeros((4, 4)))
     with pytest.raises(ValueError):
-        free_energy(f, DW, kappa=-0.1)
+        free_energy(f, kappa=-0.1)
