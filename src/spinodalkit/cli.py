@@ -44,14 +44,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(s: str) -> int:
-    try:
-        v = int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
+def _int_in(lo: int, hi: float):
+    """An argparse type: an integer in [lo, hi)."""
+    def parse(s: str) -> int:
+        try:
+            v = int(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {s!r}")
+        if not lo <= v < hi:
+            raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}), got {v}")
+        return v
+    return parse
 
 
 def _positive_float(s: str) -> float:
@@ -299,8 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="input file (or snapshot directory)")
         p.add_argument("--out", help="output directory")
         if seed:
-            p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=_positive_int,
+            # the config key's range: the seed keys a Philox stream with one uint64
+            p.add_argument("--seed", type=_int_in(0, 2 ** 64),
+                           help="override the config seed")
+        p.add_argument("--threads", type=_int_in(1, math.inf),
                        help="worker cap; only analyze uses workers "
                             "(results are thread-count independent)")
         if force_dt:

@@ -93,7 +93,8 @@ _SCHEMA = {
     "init": {
         "mean": ("mean", _parse_float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
         "variance": ("variance", _parse_float, lambda v: v >= 0, ">= 0"),
-        "seed": ("seed", _parse_int, lambda v: v >= 0, ">= 0"),
+        # the seed is the key of a Philox stream: one unsigned 64-bit word
+        "seed": ("seed", _parse_int, lambda v: 0 <= v < 2 ** 64, "in [0, 2**64)"),
     },
     "solver": {
         "D": ("D", _parse_float, lambda v: v > 0, "> 0"),

@@ -2,8 +2,9 @@
 used for critical-field, resonator, and conductivity analysis.
 
 The engine is deliberately small: numeric central-difference Jacobians,
-multiplicative damping on the scaled normal equations, and a cost trace so
-the no-uphill-steps property is checkable.  Complex observations contribute
+multiplicative damping on the scaled normal equations, one stop rule
+(stationarity) and a cost trace that shows no step goes uphill.  Every
+driver fits in coordinates of order one.  Complex observations contribute
 real and imaginary residuals separately.
 """
 
@@ -88,58 +89,51 @@ class FitResult:
         return float(math.sqrt(abs(self.covariance[i, i])))
 
 
-def _stack_residual(y: np.ndarray, model_vals: np.ndarray,
-                    weights: np.ndarray) -> np.ndarray:
+def _stack_residual(y: np.ndarray, model_vals) -> np.ndarray:
     r = y - model_vals
     if np.iscomplexobj(r):
-        return np.concatenate((r.real * weights, r.imag * weights))
-    return np.asarray(r, dtype=np.float64) * weights
+        return np.concatenate((r.real, r.imag))
+    return np.asarray(r, dtype=np.float64)
 
 
 def _numeric_jacobian(residual: Callable[[np.ndarray], np.ndarray],
                       p: np.ndarray, m: int) -> np.ndarray:
-    """Central differences dr/dp with relative step 1e-6 (absolute 1e-6 at
-    p_j = 0).  A relative step keeps sign constraints intact for
-    tiny-magnitude parameters such as coherence lengths in meters."""
-    n = p.size
-    J = np.empty((m, n))
-    for j in range(n):
-        delta = 1e-6 * abs(float(p[j])) or 1e-6
+    """Central differences dr/dp with one absolute step of 1e-6.  The fit
+    drivers work in coordinates of order one, so the step is small against
+    every feature of the model, and a coordinate at 0 is no special case."""
+    J = np.empty((m, p.size))
+    for j in range(p.size):
         pp = p.copy()
-        pp[j] = p[j] + delta
+        pp[j] = p[j] + 1e-6
         rp = residual(pp)
-        pp[j] = p[j] - delta
-        rm = residual(pp)
-        J[:, j] = (rp - rm) / (2.0 * delta)
+        pp[j] = p[j] - 1e-6
+        J[:, j] = (rp - residual(pp)) / 2e-6
     return J
 
 
-def nlls_fit(model: FitModel, x, y, init, weights=None,
-             max_iter: int = 200, cost_rtol: float = 1e-10,
-             step_atol: float = 1e-12) -> FitResult:
-    """Levenberg-Marquardt minimizer of sum w^2 (y - fn(p, x))^2.
+def nlls_fit(model: FitModel, x, y, init, max_iter: int = 200) -> FitResult:
+    """Levenberg-Marquardt minimizer of sum |y - fn(p, x)|^2, for p of order
+    one (the Jacobian takes one absolute step).
 
-    Damping is multiplicative on the diagonal of the normal matrix
-    (lambda scaled by 10 on reject, /10 on accept).  Convergence: relative
-    reduction of the residual norm below cost_rtol, or step norm below
-    step_atol; hitting max_iter or a non-finite covariance returns a result
-    flagged non-converged. Singular normal equations raise SingularFitError
-    with a condition estimate.
+    Damping is multiplicative on the diagonal of the normal matrix (lambda
+    scaled by 10 on reject, /10 on accept).  The fit is converged exactly
+    when it reaches a stationary point (Moré 1978): a Gauss-Newton step from
+    it would remove at most 1e-10 of the cost, or the residual norm is at
+    most sqrt(eps) of the data's, the rounding level a noiseless trace ends
+    on.  It then still takes that Gauss-Newton step if it lowers the cost.
+    Reaching max_iter, finding no downhill step from a point that is not
+    stationary, or a non-finite covariance returns a result flagged
+    non-converged.  Singular normal equations raise SingularFitError with a
+    condition estimate.
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
+    x, y = np.asarray(x), np.asarray(y)
     p = np.asarray(init, dtype=np.float64).copy()
     n = p.size
     if len(model.param_names) != n:
         raise ValueError(f"{model.name}: init has {n} entries for "
                          f"{len(model.param_names)} parameters")
-    if weights is None:
-        w = np.ones(y.shape, dtype=np.float64)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != y.shape or (w < 0).any():
-            raise ValueError("weights must be non-negative, one per observation")
-    m = y.size * (2 if np.iscomplexobj(y) else 1)
+    yy = _stack_residual(y, 0.0)
+    m = yy.size
     if m < n:
         raise ValueError(f"{model.name}: {y.size} observations cannot "
                          f"constrain {n} parameters")
@@ -147,84 +141,64 @@ def nlls_fit(model: FitModel, x, y, init, weights=None,
         raise ValueError(f"{model.name}: initial parameters must be finite")
 
     def residual(params: np.ndarray) -> np.ndarray:
-        return _stack_residual(y, model.fn(params, x), w)
+        return _stack_residual(y, model.fn(params, x))
 
+    rounding_cost = np.finfo(np.float64).eps * float(yy @ yy)
     r = residual(p)
     cost = float(r @ r)
     trace = [cost]
     lam = 1e-3
-    converged = False
-    message = "max iterations reached"
+    converged, message = False, "max iterations reached"
     it = 0
+    J = _numeric_jacobian(residual, p, m)
 
     while it < max_iter:
         it += 1
-        J = _numeric_jacobian(residual, p, m)
         JtJ = J.T @ J
-        g = J.T @ r
-        d = np.diag(JtJ).copy()
         if not np.isfinite(JtJ).all():
             raise SingularFitError(f"{model.name}: non-finite normal equations",
                                    condition=float("inf"))
-        scale = np.where(d > 0, d, 1.0)
-        accepted = False
+        # a Gauss-Newton step removes the cost of r's projection on J
+        gauss_newton = -np.linalg.lstsq(J, r, rcond=None)[0]
+        removed = J @ gauss_newton
+        stationary = cost <= rounding_cost or float(removed @ removed) <= 1e-10 * cost
+        scale = np.diag(np.where(np.diag(JtJ) > 0, np.diag(JtJ), 1.0))
         while True:
-            M = JtJ + lam * np.diag(scale)
             try:
-                step = np.linalg.solve(M, -g)
+                step = gauss_newton if stationary else \
+                    np.linalg.solve(JtJ + lam * scale, -J.T @ r)
+                if not np.isfinite(step).all():
+                    raise np.linalg.LinAlgError("non-finite step")
             except np.linalg.LinAlgError as exc:
                 cond = float(np.linalg.cond(JtJ))
-                raise SingularFitError(
-                    f"{model.name}: singular normal equations "
-                    f"(cond ~ {cond:.3e})", condition=cond) from exc
-            if not np.isfinite(step).all():
-                cond = float(np.linalg.cond(JtJ))
-                raise SingularFitError(
-                    f"{model.name}: normal-equation solve produced non-finite "
-                    f"step (cond ~ {cond:.3e})", condition=cond)
-            if float(np.linalg.norm(step)) < step_atol:
-                converged = True
-                message = "step norm below tolerance"
-                break
+                raise SingularFitError(f"{model.name}: singular normal equations "
+                                       f"(cond ~ {cond:.3e})", condition=cond) from exc
             p_try = p + step
             try:
                 r_try = residual(p_try)
                 cost_try = float(r_try @ r_try)
             except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError):
                 cost_try = math.inf  # trial left the model's domain
-            if math.isfinite(cost_try) and cost_try < cost:
-                accepted = True
+            accepted = cost_try < cost
+            if accepted or stationary or lam >= 1e12:
                 break
             lam *= 10.0
-            if lam > 1e12:
-                converged = True
-                message = "damping exhausted; no downhill step exists"
-                break
-        if not accepted:
+        if accepted:
+            lam = max(lam / 10.0, 1e-15)
+            p, r, cost = p_try, r_try, cost_try
+            trace.append(cost)
+        if stationary or not accepted:
+            converged = stationary
+            message = "stationary point" if stationary else \
+                "no downhill step from a point that is not stationary"
             break
-        lam = max(lam / 10.0, 1e-15)
-        norm_prev = math.sqrt(cost)
-        p, r, cost = p_try, r_try, cost_try
-        trace.append(cost)
-        norm_new = math.sqrt(cost)
-        if norm_new == 0.0 or (norm_prev - norm_new) < cost_rtol * norm_prev:
-            converged = True
-            message = "residual norm stationary"
-            break
+        J = _numeric_jacobian(residual, p, m)
 
-    ss_res = cost
-    yy = np.concatenate((y.real * w, y.imag * w)) if np.iscomplexobj(y) \
-        else np.asarray(y, dtype=np.float64) * w
     ss_tot = float(((yy - yy.mean()) ** 2).sum())
-    if ss_tot > 0.0:
-        r_squared = 1.0 - ss_res / ss_tot
-    else:
-        r_squared = 1.0 if ss_res == 0.0 else 0.0
-
-    J = _numeric_jacobian(residual, p, m)
-    dof = max(m - n, 1)
+    r_squared = 1.0 - cost / ss_tot if ss_tot > 0.0 else float(cost == 0.0)
+    # J is at p, or where the last Gauss-Newton step began: far within an uncertainty
     try:
-        cov = np.linalg.inv(J.T @ J) * (ss_res / dof)
+        cov = np.linalg.inv(J.T @ J) * (cost / max(m - n, 1))
         cov = 0.5 * (cov + cov.T)
     except np.linalg.LinAlgError:
         cov = np.full((n, n), np.nan)
@@ -233,7 +207,7 @@ def nlls_fit(model: FitModel, x, y, init, weights=None,
         message = "covariance is not finite"
 
     return FitResult(model_name=model.name, param_names=model.param_names,
-                     params=p, covariance=cov, ss_res=ss_res,
+                     params=p, covariance=cov, ss_res=cost,
                      r_squared=r_squared, n_iter=it, converged=converged,
                      cost_trace=tuple(trace), message=message)
 
@@ -289,19 +263,35 @@ def model_inv_s21(f, Q_i: float, Q_c_star: float, phi: float, f0: float):
 # Fit drivers with initial-guess helpers
 # ---------------------------------------------------------------------------
 
+def _fit_scaled(model: FitModel, x, y, z0, to_params, dp_dz) -> FitResult:
+    """Fit `model` in coordinates z of order one, starting from z0.
+    to_params(z) gives the model's parameters, each from its own coordinate,
+    and dp_dz(z) their derivatives, which map the covariance back by the
+    chain rule.  Temperatures above T_c are clamped, and a covariance that
+    overflows is not finite, without a warning."""
+    scaled = replace(model, fn=lambda z, t: model.fn(to_params(z), t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = nlls_fit(scaled, x, y, z0)
+        grad = dp_dz(res.params)
+        cov = res.covariance * np.outer(grad, grad)
+    if res.converged and not np.isfinite(cov).all():
+        res = replace(res, converged=False, message="covariance is not finite")
+    return replace(res, params=to_params(res.params), covariance=cov)
+
+
 def fit_gl_hc2(T, muH, init: tuple[float, float] | None = None) -> FitResult:
-    """Fit (xi, T_c) to a parallel-field Hc2(T) trace."""
+    """Fit (xi, T_c) to a parallel-field Hc2(T) trace, both in units of init."""
     T = np.asarray(T, dtype=np.float64)
     muH = np.asarray(muH, dtype=np.float64)
     if init is None:
         h_max = float(muH.max())
         xi0 = math.sqrt(CONSTANTS.flux_quantum / (2.0 * math.pi * max(h_max, 1e-12)))
         init = (xi0, 1.02 * float(T.max()))
-    model = FitModel("gl_hc2", ("xi_m", "Tc_K"),
-                     lambda p, t: model_gl_hc2(t, p[0], p[1]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return nlls_fit(model, T, muH, np.asarray(init))
+    unit = np.array(init, dtype=np.float64)
+    model = FitModel("gl_hc2", ("xi_m", "Tc_K"), lambda p, t: model_gl_hc2(t, *p))
+    return _fit_scaled(model, T, muH, np.ones(2), lambda z: unit * z,
+                       lambda z: unit)
 
 
 def _to_bounded(u: np.ndarray) -> np.ndarray:
@@ -317,32 +307,25 @@ def _from_bounded(v: float) -> float:
 
 def fit_powerlaw_hc2(T, muH, T_c: float,
                      init: tuple[float, float, float] | None = None) -> FitResult:
-    """Fit (H0, alpha, beta) at fixed T_c; exponents are kept in (0, 10]
-    through a logistic reparameterization, and the reported covariance is
-    mapped back with the chain rule."""
+    """Fit (H0, alpha, beta) at fixed T_c: H0 in units of init, and the
+    exponents kept in (0, 10] through a logistic reparameterization."""
     T = np.asarray(T, dtype=np.float64)
     muH = np.asarray(muH, dtype=np.float64)
     if init is None:
         init = (float(muH.max()), 2.0, 1.0)
     h0, a0, b0 = init
-    internal_init = np.array([h0, _from_bounded(a0), _from_bounded(b0)])
 
-    def fn(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-        ab = _to_bounded(p[1:])
-        return model_powerlaw_hc2(t, p[0], float(ab[0]), float(ab[1]), T_c)
+    def to_params(z: np.ndarray) -> np.ndarray:
+        return np.concatenate(([h0 * z[0]], _to_bounded(z[1:])))
 
-    model = FitModel("powerlaw_hc2", ("H0_T", "alpha", "beta"), fn)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        res = nlls_fit(model, T, muH, internal_init)
+    def dp_dz(z: np.ndarray) -> np.ndarray:
+        v = _to_bounded(z[1:])
+        return np.concatenate(([h0], v * (EXPONENT_CAP - v) / EXPONENT_CAP))
 
-    ab = _to_bounded(res.params[1:])
-    params = np.array([res.params[0], ab[0], ab[1]])
-    # d(bounded)/d(u) = v (cap - v) / cap
-    grad = np.array([1.0, ab[0] * (EXPONENT_CAP - ab[0]) / EXPONENT_CAP,
-                     ab[1] * (EXPONENT_CAP - ab[1]) / EXPONENT_CAP])
-    cov = res.covariance * np.outer(grad, grad)
-    return replace(res, params=params, covariance=cov)
+    model = FitModel("powerlaw_hc2", ("H0_T", "alpha", "beta"),
+                     lambda p, t: model_powerlaw_hc2(t, p[0], p[1], p[2], T_c))
+    z0 = np.array([1.0, _from_bounded(a0), _from_bounded(b0)])
+    return _fit_scaled(model, T, muH, z0, to_params, dp_dz)
 
 
 def _resonance_init(f: np.ndarray, s21_inv: np.ndarray) -> tuple[float, float, float, float]:
@@ -353,8 +336,7 @@ def _resonance_init(f: np.ndarray, s21_inv: np.ndarray) -> tuple[float, float, f
     i0 = int(np.argmax(mag))
     f0 = float(f[i0])
     amp = float(mag[i0])
-    half = amp / 2.0
-    above = np.nonzero(mag >= half)[0]
+    above = np.nonzero(mag >= amp / 2.0)[0]
     width = float(f[above[-1]] - f[above[0]]) if above.size > 1 else \
         float(f[-1] - f[0]) / 10.0
     q_i = math.sqrt(3.0) * f0 / max(width, 1e-12 * f0)
@@ -365,14 +347,20 @@ def _resonance_init(f: np.ndarray, s21_inv: np.ndarray) -> tuple[float, float, f
 
 def fit_resonance(f, s21_inv,
                   init: tuple[float, float, float, float] | None = None) -> FitResult:
-    """Fit (Q_i, Q_c*, phi, f0) to a complex inverse-S21 trace."""
+    """Fit (Q_i, Q_c*, phi, f0) to a complex inverse-S21 trace: Q_i and Q_c*
+    in units of their seeds, and f0 as the seed's plus a detuning measured
+    in the seed's linewidths f0/Q_i."""
     f = np.asarray(f, dtype=np.float64)
     s21_inv = np.asarray(s21_inv, dtype=np.complex128)
     if init is None:
         init = _resonance_init(f, s21_inv)
+    q_i, q_c, phi, f0 = init
+    offset = np.array([0.0, 0.0, 0.0, f0])
+    unit = np.array([q_i, q_c, 1.0, f0 / q_i])
     model = FitModel("inv_s21", ("Q_i", "Q_c_star", "phi_rad", "f0_Hz"),
-                     lambda p, x: model_inv_s21(x, p[0], p[1], p[2], p[3]))
-    return nlls_fit(model, f, s21_inv, np.asarray(init))
+                     lambda p, x: model_inv_s21(x, *p))
+    return _fit_scaled(model, f, s21_inv, np.array([1.0, 1.0, phi, 0.0]),
+                       lambda z: offset + unit * z, lambda z: unit)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +439,7 @@ def fit_report_text(result: FitResult) -> str:
              f"{result.n_iter} iterations)"]
     for i, name in enumerate(result.param_names):
         lines.append(f"  {name:>12s} = {result.params[i]:.9g}"
-                     f" +/- {math.sqrt(abs(result.covariance[i, i])):.3g}")
+                     f" +/- {result.uncertainty(name):.3g}")
     lines.append(f"  R^2 = {result.r_squared:.6f}   SS_res = {result.ss_res:.6g}")
     return "\n".join(lines)
 
