@@ -14,7 +14,6 @@ import argparse
 import functools
 import math
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -25,15 +24,14 @@ import numpy as np
 # fitting`), so callers and tracers that patch a module attribute still see
 # every call.
 from .config import ConfigError, RunConfig, load_config
-from .fields import (DataFormatError, GridSpec, NumericalFailure, gaussian_field,
-                     read_snapshot_csv, write_snapshot_csv, write_table_csv)
+from .fields import (SEED_LIMIT, DataFormatError, GridSpec, NumericalFailure,
+                     gaussian_field, read_snapshot_csv, snapshot_filename,
+                     snapshot_time, write_snapshot_csv, write_table_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-_SNAP_RE = re.compile(r"^snap_t(.+)\.csv$")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,22 +105,22 @@ def _cmd_simulate(args) -> int:
         D=cfg.D, kappa=cfg.kappa, dt=cfg.dt, n_steps=cfg.n_steps,
         snapshot_times=cfg.snapshot_times, diag_stride=cfg.diag_stride,
         force_dt=args.force_dt)
+
+    def write(result) -> None:
+        for t, snap in sorted(result.snapshots.items()):
+            write_snapshot_csv(snap, out / snapshot_filename(t))
+        solver.write_diagnostics_csv(out / "diagnostics.csv", result.diagnostics)
+
     try:
         result = solver.run(init, params)
     except solver.StabilityError as err:
-        if err.partial is not None:
-            for t, snap in err.partial.snapshots.items():
-                write_snapshot_csv(snap, out / solver.snapshot_filename(t))
-            solver.write_diagnostics_csv(out / "diagnostics.csv",
-                                         err.partial.diagnostics)
-        if err.last_stable is not None:
+        if err.partial is not None:   # the run diverged after it started
+            write(err.partial)
             write_snapshot_csv(err.last_stable, out / "snap_last_stable.csv")
             print(f"wrote last stable field to {out / 'snap_last_stable.csv'}",
                   file=sys.stderr)
         raise
-    for t, snap in sorted(result.snapshots.items()):
-        write_snapshot_csv(snap, out / solver.snapshot_filename(t))
-    solver.write_diagnostics_csv(out / "diagnostics.csv", result.diagnostics)
+    write(result)
     print(f"simulate: {len(result.snapshots)} snapshots, {result.n_steps} steps "
           f"(dt={result.dt:g}) -> {out}")
     return EXIT_OK
@@ -133,27 +131,13 @@ def _snapshot_paths(in_path: Path) -> list[tuple[float, Path]]:
     a snap_t<time>.csv name (0 for a single file named otherwise); it must
     be finite, and no two files may name the same time."""
     if in_path.is_dir():
-        found = []
-        for p in sorted(in_path.iterdir()):
-            m = _SNAP_RE.match(p.name)
-            if m:
-                try:
-                    found.append((float(m.group(1)), p))
-                except ValueError:
-                    continue
+        found = [(t, p) for p in sorted(in_path.iterdir())
+                 if (t := snapshot_time(p)) is not None]
         if not found:
             raise DataFormatError(f"{in_path}: no snap_t*.csv files found")
     else:
-        m = _SNAP_RE.match(in_path.name)
-        try:
-            found = [(float(m.group(1)) if m else 0.0, in_path)]
-        except ValueError:
-            raise DataFormatError(f"{in_path}: snapshot time {m.group(1)!r} "
-                                  "in the file name is not a number") from None
-    for t, p in found:
-        if not math.isfinite(t):
-            raise DataFormatError(f"{p}: snapshot time {t!r} in the file name "
-                                  "is not finite")
+        t = snapshot_time(in_path)
+        found = [(0.0 if t is None else t, in_path)]
     found.sort()
     for (t, p), (t_next, p_next) in zip(found, found[1:]):
         if t == t_next:
@@ -232,15 +216,15 @@ def _write_fit_outputs(result, out: Path, stem: str) -> int:
 
 def _cmd_fit_hc2(args) -> int:
     from . import fitting
+    if args.model == "powerlaw" and args.tc is None:
+        print("spinodalkit fit-hc2: --tc is required for --model powerlaw",
+              file=sys.stderr)
+        return EXIT_USAGE
     out = _out_dir(args.out or ".")
     T, muH = fitting.read_xy_csv(args.in_path, ("T_K", "muH_T"))
     if args.model == "gl":
         result = fitting.fit_gl_hc2(T, muH)
     else:
-        if args.tc is None:
-            print("spinodalkit fit-hc2: --tc is required for --model powerlaw",
-                  file=sys.stderr)
-            return EXIT_USAGE
         result = fitting.fit_powerlaw_hc2(T, muH, args.tc)
     return _write_fit_outputs(result, out, f"fit_hc2_{args.model}")
 
@@ -291,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "superconducting transport analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, *, config=False, infile=False, seed=False,
-            force_dt=False):
+    def add(name, fn, help_text, *, config=False, infile=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=fn)
         if config:
@@ -301,20 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--in", dest="in_path", required=True,
                            help="input file (or snapshot directory)")
         p.add_argument("--out", help="output directory")
-        if seed:
-            # the config key's range: the seed keys a Philox stream with one uint64
-            p.add_argument("--seed", type=_int_in(0, 2 ** 64),
-                           help="override the config seed")
         p.add_argument("--threads", type=_int_in(1, math.inf),
                        help="worker cap; only analyze uses workers "
                             "(results are thread-count independent)")
-        if force_dt:
-            p.add_argument("--force-dt", action="store_true",
-                           help="bypass the dt stability ceiling")
         return p
 
-    add("simulate", _cmd_simulate, "run the phase-field solver",
-        config=True, seed=True, force_dt=True)
+    p_sim = add("simulate", _cmd_simulate, "run the phase-field solver", config=True)
+    p_sim.add_argument("--seed", type=_int_in(0, SEED_LIMIT),
+                       help="override the config seed")
+    p_sim.add_argument("--force-dt", action="store_true",
+                       help="bypass the dt stability ceiling")
     add("analyze", _cmd_analyze, "microstructure report from snapshots",
         config=True, infile=True)
     add("transport", _cmd_transport, "derive carrier/superconducting parameters",

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dc_fields
 
+from .fields import SEED_LIMIT
+
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config",
            "serialize_config", "DEFAULT_SNAPSHOT_TIMES"]
 
@@ -79,10 +81,6 @@ def _parse_times(s: str) -> tuple[float, ...]:
     return tuple(_parse_float(p) for p in parts)
 
 
-def _parse_str(s: str) -> str:
-    return s
-
-
 # section -> key -> (attribute, parser, validator or None, constraint text)
 _SCHEMA = {
     "grid": {
@@ -93,8 +91,7 @@ _SCHEMA = {
     "init": {
         "mean": ("mean", _parse_float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
         "variance": ("variance", _parse_float, lambda v: v >= 0, ">= 0"),
-        # the seed is the key of a Philox stream: one unsigned 64-bit word
-        "seed": ("seed", _parse_int, lambda v: 0 <= v < 2 ** 64, "in [0, 2**64)"),
+        "seed": ("seed", _parse_int, lambda v: 0 <= v < SEED_LIMIT, "in [0, 2**64)"),
     },
     "solver": {
         "D": ("D", _parse_float, lambda v: v > 0, "> 0"),
@@ -112,7 +109,7 @@ _SCHEMA = {
         "sigma_al": ("sigma_al", _parse_float, lambda v: v > 0, "> 0"),
     },
     "paths": {
-        "out_dir": ("out_dir", _parse_str, None, ""),
+        "out_dir": ("out_dir", str, None, ""),
     },
 }
 

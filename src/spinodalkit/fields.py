@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,6 +23,8 @@ __all__ = [
     "ScalarField2D",
     "gaussian_field",
     "field_stats",
+    "snapshot_filename",
+    "snapshot_time",
     "write_snapshot_csv",
     "read_snapshot_csv",
     "read_table_csv",
@@ -28,6 +32,9 @@ __all__ = [
 ]
 
 MIN_GRID = 4
+
+# A seed is the key of a Philox stream: one unsigned 64-bit word.
+SEED_LIMIT = 2 ** 64
 
 
 class DataFormatError(ValueError):
@@ -78,11 +85,6 @@ class ScalarField2D:
         return ScalarField2D(self.spec, values)
 
 
-def _uniform_stream(seed: int, count: int) -> np.ndarray:
-    """The first `count` uniform doubles in [0,1) of the Philox stream keyed by seed."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(count)
-
-
 def gaussian_field(spec: GridSpec, mean: float, variance: float, seed: int) -> ScalarField2D:
     """i.i.d. N(mean, variance) field, bit-reproducible for a given seed.
 
@@ -92,9 +94,11 @@ def gaussian_field(spec: GridSpec, mean: float, variance: float, seed: int) -> S
         raise ValueError(f"variance must be non-negative, got {variance}")
     if not 0.0 <= mean <= 1.0:
         raise ValueError(f"mean must lie in [0, 1], got {mean}")
+    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < SEED_LIMIT):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     # imported here: scipy.special adds ~0.3 s to every CLI start otherwise
     from scipy.special import ndtri
-    u = _uniform_stream(seed, spec.n_cells)
+    u = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(spec.n_cells)
     # guard u=0 so ndtri stays finite; probability 2^-53 per cell
     u = np.maximum(u, np.finfo(np.float64).tiny)
     values = mean + np.sqrt(variance) * ndtri(u)
@@ -137,6 +141,33 @@ def field_stats(f: ScalarField2D) -> tuple[float, float, float, float]:
     """Population (mean, variance, min, max) over all cells."""
     v = f.values
     return float(v.mean()), float(v.var()), float(v.min()), float(v.max())
+
+
+def snapshot_filename(t: float) -> str:
+    """snap_t<%g of t>.csv when that text reads back to t (snap_t0.5.csv),
+    else snap_t<repr(t)>.csv (snap_t1234567.0.csv): the name gives back t
+    exactly, so distinct times never share a name."""
+    text = f"{t:g}"
+    if float(text) != t:
+        text = repr(float(t))
+    return f"snap_t{text}.csv"
+
+
+def snapshot_time(path) -> float | None:
+    """The time in a snap_t<time>.csv file name, or None for a name of
+    another form.  A DataFormatError names the file when <time> is not a
+    finite number."""
+    m = re.fullmatch(r"snap_t(.+)\.csv", os.path.basename(path))
+    if m is None:
+        return None
+    try:
+        t = float(m.group(1))
+    except ValueError:
+        t = math.nan
+    if not math.isfinite(t):
+        raise DataFormatError(f"{path}: snapshot time {m.group(1)!r} in the file "
+                              "name is not a finite number")
+    return t
 
 
 def write_snapshot_csv(f: ScalarField2D, path) -> None:

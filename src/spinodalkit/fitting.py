@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 EXPONENT_CAP = 10.0  # power-law exponents are confined to (0, 10]
+# fit_conductivity_regimes' temperature windows (K): sigma vs T on the
+# high one, sigma vs sqrt(T) on the low one
+HIGH_T_WINDOW = (100.0, 300.0)
+LOW_T_WINDOW = (10.0, 60.0)
 
 
 class SingularFitError(RuntimeError, NumericalFailure):
@@ -218,17 +222,12 @@ def nlls_fit(model: FitModel, x, y, init, max_iter: int = 200) -> FitResult:
 
 def model_gl_hc2(T, xi: float, T_c: float):
     """Parallel-field GL upper critical field
-    mu0 Hc2(T) = Phi0/(2 pi xi^2) * (1 - (T/T_c)^2), clamped to 0 above T_c."""
-    if xi <= 0 or T_c <= 0:
-        raise ValueError(f"xi and T_c must be positive, got xi={xi} T_c={T_c}")
-    t = np.asarray(T, dtype=np.float64)
-    base = 1.0 - (t / T_c) ** 2
-    if (base < 0).any():
-        warnings.warn("temperatures above T_c clamped to zero field",
-                      RuntimeWarning, stacklevel=2)
-        base = np.maximum(base, 0.0)
-    out = CONSTANTS.flux_quantum / (2.0 * math.pi * xi ** 2) * base
-    return out if out.ndim else float(out)
+    mu0 Hc2(T) = Phi0/(2 pi xi^2) * (1 - (T/T_c)^2), clamped to 0 above T_c:
+    the power law with H0 = Phi0/(2 pi xi^2), alpha = 2 and beta = 1."""
+    if xi <= 0:
+        raise ValueError(f"xi must be positive, got xi={xi}")
+    return model_powerlaw_hc2(T, CONSTANTS.flux_quantum / (2.0 * math.pi * xi ** 2),
+                              2.0, 1.0, T_c)
 
 
 def model_powerlaw_hc2(T, H0: float, alpha: float, beta: float, T_c: float):
@@ -396,25 +395,22 @@ def _ols(x: np.ndarray, y: np.ndarray) -> LinearFit:
     return LinearFit(slope=slope, intercept=intercept, r_squared=r2)
 
 
-def fit_conductivity_regimes(T, sigma,
-                             high_window: tuple[float, float] = (100.0, 300.0),
-                             low_window: tuple[float, float] = (10.0, 60.0),
-                             ) -> ConductivityRegimes:
-    """High window: OLS of sigma vs T.  Low window: OLS of sigma vs sqrt(T).
+def fit_conductivity_regimes(T, sigma) -> ConductivityRegimes:
+    """HIGH_T_WINDOW: OLS of sigma vs T.  LOW_T_WINDOW: OLS of sigma vs sqrt(T).
 
     Each window needs at least three points.
     """
     T = np.asarray(T, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     fits = []
-    for (lo, hi), transform in ((high_window, lambda t: t),
-                                (low_window, np.sqrt)):
+    for (lo, hi), transform in ((HIGH_T_WINDOW, lambda t: t),
+                                (LOW_T_WINDOW, np.sqrt)):
         m = (T >= lo) & (T <= hi)
         if int(m.sum()) < 3:
             raise ValueError(f"fewer than 3 points in window [{lo}, {hi}] K")
         fits.append(_ols(transform(T[m]), sigma[m]))
     return ConductivityRegimes(high_T=fits[0], low_T=fits[1],
-                               high_window=high_window, low_window=low_window)
+                               high_window=HIGH_T_WINDOW, low_window=LOW_T_WINDOW)
 
 
 # ---------------------------------------------------------------------------

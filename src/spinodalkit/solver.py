@@ -35,7 +35,6 @@ __all__ = [
     "default_dt",
     "max_stable_dt",
     "run",
-    "snapshot_filename",
     "write_diagnostics_csv",
 ]
 
@@ -102,15 +101,24 @@ class SolverParams:
                            tuple(sorted(float(t) for t in self.snapshot_times)))
 
     def resolve_dt(self, h: float) -> float:
-        """The step to take on a grid of spacing h; raises TimeStepError
-        unless it is positive and finite."""
+        """The step to take on a grid of spacing h.  Raises TimeStepError
+        unless it is positive and finite, and StabilityError above the
+        ceiling h^4/(16*D*kappa) unless force_dt is set."""
         try:
             dt = self.dt if self.dt is not None else default_dt(h, self.D, self.kappa)
-        except OverflowError:   # h ** 4 beyond the float range
+        except (OverflowError, ZeroDivisionError):   # h ** 4 or 1/(D*kappa) too large
             dt = math.inf
         if not (math.isfinite(dt) and dt > 0):
             raise TimeStepError(f"time step dt={dt!r} from h={h!r}, D={self.D!r}, "
                                 f"kappa={self.kappa!r} is not a positive finite number")
+        try:
+            ceiling = max_stable_dt(h, self.D, self.kappa)
+        except (OverflowError, ZeroDivisionError):   # no ceiling within the float range
+            ceiling = math.inf
+        if dt > ceiling and not self.force_dt:
+            raise StabilityError(
+                f"dt={dt:.6g} exceeds the stability ceiling {ceiling:.6g} "
+                "(h^4/(16*D*kappa)); pass force_dt to override")
         return dt
 
 
@@ -187,14 +195,6 @@ def _diag(vals: np.ndarray, template: ScalarField2D, step: int, dt: float,
         min=float(vals.min()), max=float(vals.max()))
 
 
-def _guard_dt(dt: float, h: float, params: SolverParams) -> None:
-    ceiling = max_stable_dt(h, params.D, params.kappa)
-    if dt > ceiling and not params.force_dt:
-        raise StabilityError(
-            f"dt={dt:.6g} exceeds the stability ceiling {ceiling:.6g} "
-            "(h^4/(16*D*kappa)); pass force_dt to override")
-
-
 def run(init: ScalarField2D, params: SolverParams) -> SimulationResult:
     """Integrate from `init` through the snapshot schedule.
 
@@ -206,7 +206,6 @@ def run(init: ScalarField2D, params: SolverParams) -> SimulationResult:
     """
     spec = init.spec
     dt = params.resolve_dt(spec.h)
-    _guard_dt(dt, spec.h, params)
 
     snap_steps: dict[int, list[float]] = {}
     for t in params.snapshot_times:
@@ -253,11 +252,6 @@ def run(init: ScalarField2D, params: SolverParams) -> SimulationResult:
 
     result.final = init.with_values(values)
     return result
-
-
-def snapshot_filename(t: float) -> str:
-    """Canonical per-time snapshot name, e.g. snap_t10.csv, snap_t0.5.csv."""
-    return f"snap_t{t:g}.csv"
 
 
 def write_diagnostics_csv(path, records) -> None:

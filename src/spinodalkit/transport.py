@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 BCS_GAP_RATIO = 1.764  # weak-coupling Delta(0) / (k_B Tc)
+NORMAL_FRACTION = 0.1  # tc_midpoint's R_normal: the hottest tenth of the samples
 
 TRANSPORT_HEADER = "label,d_m,Rs_ohm_sq,Tc_K,hall_slope_ohm_per_T"
 REPORT_HEADER = "label,d_m,Tc_K,Rs_ohm_sq,n_e_m3,Lk_H_sq,l_m,kF_l"
@@ -174,11 +175,11 @@ def sheet_inductance_from_lambda(lam: float, t: float) -> float:
     return CONSTANTS.mu_0 * lam / (2.0 * math.tanh(z))
 
 
-def tc_midpoint(T: np.ndarray, R: np.ndarray, normal_fraction: float = 0.1) -> float:
+def tc_midpoint(T: np.ndarray, R: np.ndarray) -> float:
     """Transition midpoint: temperature where R(T) crosses half the
     normal-state resistance.
 
-    R_normal is the median resistance over the hottest `normal_fraction` of
+    R_normal is the median resistance over the hottest NORMAL_FRACTION of
     samples (robust to plateau noise).  The crossing is located by linear
     interpolation, scanning from the high-temperature end so the transition
     edge (not a low-T fluctuation) is picked.  Raises if no crossing exists.
@@ -189,10 +190,8 @@ def tc_midpoint(T: np.ndarray, R: np.ndarray, normal_fraction: float = 0.1) -> f
         raise ValueError("need at least three (T, R) samples")
     if not (np.diff(T) >= 0).all():
         raise ValueError("trace must be sorted by temperature")
-    if not 0.0 < normal_fraction <= 1.0:
-        raise ValueError(f"normal_fraction must be in (0, 1], got {normal_fraction}")
 
-    n_top = max(1, int(math.ceil(normal_fraction * T.size)))
+    n_top = max(1, int(math.ceil(NORMAL_FRACTION * T.size)))
     r_normal = float(np.median(R[-n_top:]))
     half = 0.5 * r_normal
     for i in range(T.size - 2, -1, -1):

@@ -381,6 +381,33 @@ def test_unusable_automatic_dt_is_data_error(tmp_path, capsys, text, dt):
     assert not list(out.glob("snap_t*.csv"))
 
 
+def test_huge_spacing_has_no_dt_ceiling(tmp_path, capsys):
+    # h^4 overflows, so the ceiling h^4/(16*D*kappa) is beyond the float range
+    ini = tmp_path / "big.ini"
+    ini.write_text("[grid]\nnx = 8\nny = 8\nh = 1e100\n"
+                   "[solver]\ndt = 0.1\nsnapshot_times = 0, 0.1\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
+    assert "2 snapshots, 1 steps" in capsys.readouterr().out
+    assert sorted(p.name for p in out.glob("snap_t*.csv")) == ["snap_t0.1.csv", "snap_t0.csv"]
+
+
+def test_close_snapshot_times_get_distinct_files(tmp_path):
+    # %g names 0.01 and 0.01000001 alike; each time keeps its own file and
+    # analyze reads each time back exactly
+    ini = tmp_path / "close.ini"
+    ini.write_text("[grid]\nnx = 8\nny = 8\n"
+                   "[solver]\nsnapshot_times = 0, 0.01, 0.01000001\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("snap_t*.csv")) == [
+        "snap_t0.01.csv", "snap_t0.01000001.csv", "snap_t0.csv"]
+    assert cli.main(["analyze", "--config", str(ini), "--in", str(out),
+                     "--out", str(out)]) == 0
+    lines = (out / "report.csv").read_text().splitlines()[1:]
+    assert [float(line.split(",")[0]) for line in lines] == [0.0, 0.01, 0.01000001]
+
+
 @pytest.mark.parametrize("text", ["[grid]\nh = inf\n", "[solver]\nsnapshot_times = 0, inf\n"],
                          ids=["h", "snapshot_times"])
 def test_non_finite_config_value_is_data_error(tmp_path, capsys, text):
@@ -610,10 +637,18 @@ def test_analyze_missing_input_is_data_error(tmp_path):
 
 @pytest.mark.parametrize("command", ["analyze", "render"])
 def test_non_numeric_snapshot_time_is_data_error(tmp_path, capsys, command):
-    snap = tmp_path / "snap_tabc.csv"
-    write_snapshot_csv(ScalarField2D(GridSpec(4, 4), np.full((4, 4), 0.5)), snap)
-    assert cli.main([command, "--in", str(snap), "--out", str(tmp_path)]) == 2
-    assert "'abc'" in capsys.readouterr().err
+    # as a single file and in a directory beside a valid snapshot
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    field = ScalarField2D(GridSpec(8, 8), np.random.default_rng(3).uniform(0, 1, (8, 8)))
+    for name in ("snap_t0.csv", "snap_tabc.csv"):
+        write_snapshot_csv(field, snaps / name)
+    for i, path in enumerate([snaps / "snap_tabc.csv", snaps]):
+        out = tmp_path / f"out{i}"
+        assert cli.main([command, "--in", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{snaps / 'snap_tabc.csv'}: snapshot time 'abc'" in err
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["analyze", "render"])
@@ -713,9 +748,12 @@ def test_fit_with_non_finite_covariance_is_not_converged(tmp_path, capsys):
 def test_fit_hc2_powerlaw_needs_tc(tmp_path, capsys):
     trace = tmp_path / "hc2.csv"
     trace.write_text("T_K,muH_T\n1.0,2.0\n2.0,1.0\n3.0,0.2\n")
-    code = cli.main(["fit-hc2", "--in", str(trace), "--model", "powerlaw"])
+    out = tmp_path / "out"
+    code = cli.main(["fit-hc2", "--in", str(trace), "--model", "powerlaw",
+                     "--out", str(out)])
     assert code == 1
     assert "--tc is required" in capsys.readouterr().err
+    assert not out.exists()
     code = cli.main(["fit-hc2", "--in", str(trace), "--model", "powerlaw",
                      "--tc", "3.2", "--out", str(tmp_path)])
     assert code in (0, 3)  # tiny trace may legitimately not converge

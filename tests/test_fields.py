@@ -60,6 +60,12 @@ def test_gaussian_field_validates_inputs():
         gaussian_field(spec, 0.5, -1e-3, seed=0)
     with pytest.raises(ValueError):
         gaussian_field(spec, 1.5, 1e-3, seed=0)
+    for seed in (-1, 2 ** 64, 1.5):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            gaussian_field(spec, 0.5, 1e-3, seed)
+    # numpy integers are seeds too
+    assert (gaussian_field(spec, 0.5, 1e-3, np.uint64(2 ** 64 - 1)).values
+            == gaussian_field(spec, 0.5, 1e-3, 2 ** 64 - 1).values).all()
 
 
 def laplacian(v, h=1.0):

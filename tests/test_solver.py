@@ -5,11 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinodalkit import cli
-from spinodalkit.fields import GridSpec, ScalarField2D, gaussian_field
+from spinodalkit.fields import (GridSpec, ScalarField2D, gaussian_field,
+                                snapshot_filename, snapshot_time)
 from spinodalkit.solver import (DIAG_HEADER, SolverParams, StabilityError,
                                 TimeStepError, _chemical_potential, default_dt,
-                                max_stable_dt, run, snapshot_filename,
-                                write_diagnostics_csv)
+                                max_stable_dt, run, write_diagnostics_csv)
 from spinodalkit.thermo import d2gibbs, dgibbs, free_energy
 
 
@@ -51,10 +51,12 @@ def test_dt_above_ceiling_is_rejected():
     (1e-100, SolverParams()),                       # h^4 underflows: dt = 0
     (1e100, SolverParams()),                        # h^4 overflows
     (1.0, SolverParams(D=1e-320)),                  # D*kappa underflows: dt = inf
+    (1.0, SolverParams(D=1e-200, kappa=1e-200)),    # 200*D*kappa underflows to 0
     (1.0, SolverParams(D=1e300, kappa=1e300)),      # D*kappa overflows: dt = 0
     (1.0, SolverParams(dt=float("inf"), force_dt=True)),
     (1.0, SolverParams(dt=float("nan"), force_dt=True)),
-], ids=["h_tiny", "h_huge", "D_tiny", "D_kappa_huge", "dt_inf", "dt_nan"])
+], ids=["h_tiny", "h_huge", "D_tiny", "D_kappa_tiny", "D_kappa_huge", "dt_inf",
+        "dt_nan"])
 def test_unusable_dt_is_rejected_before_any_step(h, params):
     f = gaussian_field(GridSpec(8, 8, h), 0.48, 1e-3, seed=0)
     with pytest.raises(TimeStepError, match=r"h=.*, D=.*, kappa="):
@@ -173,9 +175,13 @@ def test_mirrored_initial_conditions_evolve_mirrored():
 
 
 def test_snapshot_filenames():
-    assert snapshot_filename(10.0) == "snap_t10.csv"
-    assert snapshot_filename(0.5) == "snap_t0.5.csv"
-    assert snapshot_filename(0.0) == "snap_t0.csv"
+    for t, name in [(10.0, "snap_t10.csv"), (0.5, "snap_t0.5.csv"), (0.0, "snap_t0.csv"),
+                    (1e6, "snap_t1e+06.csv"),
+                    # %g would round these to 1.23457e+06 and 0.01
+                    (1234567.0, "snap_t1234567.0.csv"),
+                    (0.01000001, "snap_t0.01000001.csv")]:
+        assert snapshot_filename(t) == name
+        assert snapshot_time(name) == t
 
 
 def test_diagnostics_csv_round_trip(tmp_path):
