@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 # Re-exported names resolve on first access (PEP 562), so importing the
 # package, or only `spinodalkit.cli`, loads none of these modules.
 _EXPORTS = {
-    "fields": ("GridSpec", "ScalarField2D", "field_stats", "gaussian_field",
-               "read_snapshot_csv", "write_snapshot_csv"),
+    "fields": ("GridSpec", "ScalarField2D", "gaussian_field", "read_snapshot_csv",
+               "write_snapshot_csv"),
     "thermo": ("d2gibbs", "dgibbs", "free_energy", "gibbs", "spinodal_interval"),
     "solver": ("SolverParams", "StabilityError", "run"),
 }

@@ -22,7 +22,6 @@ __all__ = [
     "GridSpec",
     "ScalarField2D",
     "gaussian_field",
-    "field_stats",
     "snapshot_filename",
     "snapshot_time",
     "write_snapshot_csv",
@@ -106,7 +105,7 @@ def gaussian_field(spec: GridSpec, mean: float, variance: float, seed: int) -> S
 
 
 def _laplacian_values(v: np.ndarray, h: float, out: np.ndarray,
-                      tmp: np.ndarray) -> np.ndarray:
+                      scratch: np.ndarray, edge: np.ndarray) -> np.ndarray:
     """5-point periodic Laplacian of a C-contiguous (ny, nx) array, into `out`.
 
     The sum is ((((v[i-1] + v[i+1]) + v[j-1]) + v[j+1]) - 4 v) / h^2 in that
@@ -114,33 +113,28 @@ def _laplacian_values(v: np.ndarray, h: float, out: np.ndarray,
     it.  Every large operation runs on contiguous memory: north+south from
     row slabs, then west and east as shifts by one element of the flattened
     array.  Those shifts wrap each row's edge columns into the neighbouring
-    row, so both edge columns are rebuilt from their saved north+south sums.
-    `out` must be C-contiguous and `tmp` is scratch for 4v; neither may
-    overlap `v`.
+    row, so both edge columns are rebuilt from their north+south sums, saved
+    in `edge`, a (ny, 2) array.  `out` must be C-contiguous and may not
+    overlap `v`.  4v is written into `scratch` after the last read of `v`,
+    so `scratch` may be `v` itself, which is then left holding 4v.
     """
     np.add(v[:-2], v[2:], out=out[1:-1])
     np.add(v[-1], v[1], out=out[0])
     np.add(v[-2], v[0], out=out[-1])
-    tmp[:, 0] = out[:, 0]
-    tmp[:, -1] = out[:, -1]
+    edge[:, 0] = out[:, 0]
+    edge[:, 1] = out[:, -1]
     flat, vf = out.reshape(-1), v.reshape(-1)
     flat[1:] += vf[:-1]
     flat[:-1] += vf[1:]
-    np.add(tmp[:, 0], v[:, -1], out=out[:, 0])
+    np.add(edge[:, 0], v[:, -1], out=out[:, 0])
     out[:, 0] += v[:, 1]
-    np.add(tmp[:, -1], v[:, -2], out=out[:, -1])
+    np.add(edge[:, 1], v[:, -2], out=out[:, -1])
     out[:, -1] += v[:, 0]
-    np.multiply(v, 4.0, out=tmp)
-    out -= tmp
+    np.multiply(v, 4.0, out=scratch)
+    out -= scratch
     if h != 1.0:
         out /= h * h
     return out
-
-
-def field_stats(f: ScalarField2D) -> tuple[float, float, float, float]:
-    """Population (mean, variance, min, max) over all cells."""
-    v = f.values
-    return float(v.mean()), float(v.var()), float(v.min()), float(v.max())
 
 
 def snapshot_filename(t: float) -> str:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import NumericalFailure, read_table_csv, write_table_csv
-from .transport import CONSTANTS
+from .transport import CONSTANTS, _ols_line
 
 __all__ = [
     "FitModel",
@@ -382,14 +382,9 @@ class ConductivityRegimes:
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> LinearFit:
-    xm, ym = x.mean(), y.mean()
-    dx, dy = x - xm, y - ym
-    sxx = float(dx @ dx)
-    if sxx == 0.0:
-        raise ValueError("degenerate abscissa; slope undefined")
-    slope = float(dx @ dy) / sxx
-    intercept = float(ym - slope * xm)
+    slope, intercept = _ols_line(x, y, "degenerate abscissa; slope undefined")
     ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
+    dy = y - y.mean()
     ss_tot = float(dy @ dy)
     r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
     return LinearFit(slope=slope, intercept=intercept, r_squared=r2)

@@ -13,6 +13,13 @@ stencil, dt_crit = 2 / (D q_max (G''_max + 2 kappa q_max)) ~ 0.0139 at
 D=kappa=h=1.  The default step h^4/(200 D kappa) = 0.005 sits well inside
 it; anything above the hard ceiling h^4/(16 D kappa) is rejected outright
 unless force_dt is set.
+
+A step touches three field buffers and one (ny, 2) edge buffer, all
+allocated once by `run`: it reads `values`, uses `mu` as the first
+Laplacian's 4x scratch before G'(x) overwrites it, scales `mu` in place
+during the second Laplacian, and leaves the next field in `lap`.  `run`
+swaps `values` and `lap` once the new field passes the divergence check,
+so `values` still holds the last stable field when the check fails.
 """
 
 from __future__ import annotations
@@ -151,30 +158,37 @@ def max_stable_dt(h: float, D: float, kappa: float) -> float:
     return h ** 4 / (16.0 * D * kappa)
 
 
-def _chemical_potential(values: np.ndarray, h: float, kappa: float, out: np.ndarray,
-                        lap: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """G'(x) - (2 kappa) lap(x) into `out`; `lap` and `tmp` are scratch.
+def _chemical_potential(values: np.ndarray, h: float, kappa: float, mu: np.ndarray,
+                        lap: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """G'(x) - (2 kappa) lap(x) into `mu`, leaving (2 kappa) lap(x) in `lap`.
 
-    None of the buffers may overlap `values`.
+    `mu` first takes the Laplacian's 4x scratch, then G'(x) overwrites it.
+    `edge` is the Laplacian's (ny, 2) edge buffer.  Neither `mu` nor `lap`
+    may overlap `values`, which is only read.
     """
-    lap = _laplacian_values(values, h, lap, tmp)
-    mu = dgibbs(values, out)
+    _laplacian_values(values, h, lap, mu, edge)
+    dgibbs(values, mu)
     lap *= 2.0 * kappa
     mu -= lap
     return mu
 
 
 def _euler_step(values: np.ndarray, h: float, D: float, kappa: float, dt: float,
-                out: np.ndarray, lap: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """x + (dt D) lap(mu) into `out`, with `lap` and `mu` as scratch.
+                lap: np.ndarray, mu: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """x + (dt D) lap(mu) into `lap`, which it returns.
 
-    `out` doubles as scratch until the last operation.  None of the
-    buffers may overlap `values`.
+    Three field buffers carry the step: `values` (only read), `lap` (the
+    result) and `mu` (scratch; the second Laplacian scales it in place to
+    4 mu).  `edge` is the Laplacian's (ny, 2) edge buffer.  The update adds
+    `values` to the scaled Laplacian; addition commutes, so the bits equal
+    those of x + (dt D) lap(mu).  Neither `lap` nor `mu` may overlap
+    `values`.
     """
-    mu = _chemical_potential(values, h, kappa, mu, lap, out)
-    _laplacian_values(mu, h, lap, out)
+    _chemical_potential(values, h, kappa, mu, lap, edge)
+    _laplacian_values(mu, h, lap, mu, edge)
     lap *= dt * D
-    return np.add(values, lap, out=out)
+    lap += values
+    return lap
 
 
 def _check_sane(values: np.ndarray, step: int, time: float) -> None:
@@ -222,10 +236,11 @@ def run(init: ScalarField2D, params: SolverParams) -> SimulationResult:
                             "2**53, beyond which step times are not exact")
 
     result = SimulationResult(dt=dt, n_steps=n_steps)
-    # The step reads `values` and writes `new_values`; the two swap after
-    # every accepted step, so the loop allocates nothing.
+    # The step reads `values` and writes the next field into `lap`; the two
+    # swap after every accepted step, so the loop allocates nothing.
     values = init.values.copy()
-    new_values, lap, mu = (np.empty_like(values) for _ in range(3))
+    lap, mu = np.empty_like(values), np.empty_like(values)
+    edge = np.empty((spec.ny, 2))
     h = spec.h
 
     def record(step: int, vals: np.ndarray) -> None:
@@ -238,14 +253,14 @@ def run(init: ScalarField2D, params: SolverParams) -> SimulationResult:
     record(0, values)
     snapshot(0, values)
     for step in range(1, n_steps + 1):
-        _euler_step(values, h, params.D, params.kappa, dt, new_values, lap, mu)
+        _euler_step(values, h, params.D, params.kappa, dt, lap, mu, edge)
         try:
-            _check_sane(new_values, step, step * dt)
+            _check_sane(lap, step, step * dt)
         except StabilityError as err:
             err.partial = result
             err.last_stable = init.with_values(values)
             raise
-        values, new_values = new_values, values
+        values, lap = lap, values
         if step % params.diag_stride == 0 or step == n_steps or step in snap_steps:
             record(step, values)
         snapshot(step, values)

@@ -70,7 +70,17 @@ def free_energy(f: ScalarField2D, kappa: float) -> float:
         raise ValueError(f"gradient-energy coefficient must be non-negative, got {kappa}")
     v = f.values
     h = f.spec.h
-    gx = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * h)
-    gy = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * h)
-    density = gibbs(v) + kappa * (gx * gx + gy * gy)
+    gx, gy = np.empty_like(v), np.empty_like(v)
+    # g[i] = (w[i+1] - w[i-1]) / 2h along the first axis of each view
+    for g, w in ((gx.T, v.T), (gy, v)):
+        np.subtract(w[2:], w[:-2], out=g[1:-1])
+        np.subtract(w[1], w[-1], out=g[0])
+        np.subtract(w[0], w[-2], out=g[-1])
+        g /= 2.0 * h
+    gx *= gx
+    gy *= gy
+    gx += gy
+    gx *= kappa
+    density = gibbs(v)
+    density += gx
     return float(density.sum() * h * h)

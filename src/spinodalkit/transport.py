@@ -109,6 +109,18 @@ def hall_carrier_density(hall_slope: float, d: float) -> float:
     return 1.0 / (hall_slope * CONSTANTS.e * d)
 
 
+def _ols_line(x: np.ndarray, y: np.ndarray, degenerate: str) -> tuple[float, float]:
+    """Ordinary least-squares (slope, intercept) of y = slope * x + intercept
+    from the centred sums; ValueError(degenerate) when every x is equal."""
+    xm, ym = x.mean(), y.mean()
+    dx = x - xm
+    sxx = float(dx @ dx)
+    if sxx == 0.0:
+        raise ValueError(degenerate)
+    slope = float(dx @ (y - ym)) / sxx
+    return slope, float(ym - slope * xm)
+
+
 def hall_slope_ols(mu0H: np.ndarray, R_xy: np.ndarray) -> tuple[float, float]:
     """Ordinary least squares R_xy = slope * mu0H + offset.
 
@@ -119,13 +131,7 @@ def hall_slope_ols(mu0H: np.ndarray, R_xy: np.ndarray) -> tuple[float, float]:
     y = np.asarray(R_xy, dtype=np.float64)
     if x.size != y.size or x.size < 2:
         raise ValueError("need at least two (mu0H, R_xy) pairs")
-    xm, ym = x.mean(), y.mean()
-    dx = x - xm
-    denom = float(dx @ dx)
-    if denom == 0.0:
-        raise ValueError("all field values identical; slope undefined")
-    slope = float(dx @ (y - ym)) / denom
-    return slope, float(ym - slope * xm)
+    return _ols_line(x, y, "all field values identical; slope undefined")
 
 
 def free_electron_params(n_e: float, R_s: float, d: float) -> FreeElectronParams:

@@ -96,6 +96,17 @@ def test_free_energy_mirror_symmetry():
     assert_allclose(free_energy(f, 1.0), free_energy(g, 1.0), rtol=1e-12)
 
 
+@pytest.mark.parametrize("shape,h,kappa", [((16, 16), 1.0, 1.0), ((5, 7), 0.7, 2.3),
+                                           ((7, 5), 1.3, 0.0)])
+def test_free_energy_equals_roll_formula(shape, h, kappa):
+    v = np.random.default_rng(9).random(shape)
+    gx = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * h)
+    gy = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * h)
+    density = gibbs(v) + kappa * (gx * gx + gy * gy)
+    f = ScalarField2D(GridSpec(shape[1], shape[0], h), v)
+    assert free_energy(f, kappa) == float(density.sum() * h * h)
+
+
 def test_free_energy_rejects_negative_kappa():
     f = ScalarField2D(GridSpec(4, 4), np.zeros((4, 4)))
     with pytest.raises(ValueError):
