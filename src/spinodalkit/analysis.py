@@ -10,10 +10,13 @@ Four families of diagnostics:
   exact spanning onset of each trial;
 * transport — effective sheet resistance of the composite from an exact
   Kirchhoff solve with harmonic-mean bond conductances, by column-by-column
-  elimination at O(nx*ny^3) time and O(ny^2) memory.
+  elimination at O(nx*ny^3) time and O(ny^2) memory; each column's block
+  is inverted by a recursive 2x2 Schur-complement split whose work is
+  matmul (_spd_inverse).
 
 analyze_fields reports all four for a batch of snapshots; its R_eff solves,
-one per snapshot and axis, can run on a thread pool.
+one per snapshot and axis, are swept in stacks of same-shape maps, and the
+stacks can run on a thread pool.
 
 Clustering and spanning use non-periodic boundaries (electrodes break
 periodicity) even though the underlying composition field is periodic;
@@ -41,7 +44,6 @@ __all__ = [
     "spans",
     "percolation_threshold_mc",
     "effective_sheet_resistance",
-    "dense_sheet_resistance",
     "analyze_field",
     "analyze_fields",
     "write_report_csv",
@@ -251,11 +253,12 @@ class ConductivityMap:
 
 def _bond_conductances(s: np.ndarray):
     """Internal bonds are series pairs of half-cells: g = 2 s1 s2/(s1+s2).
-    Electrode bonds are single half-cells: g = 2 s."""
-    gh = 2.0 * s[:, :-1] * s[:, 1:] / (s[:, :-1] + s[:, 1:])
-    gv = 2.0 * s[:-1, :] * s[1:, :] / (s[:-1, :] + s[1:, :])
-    gl = 2.0 * s[:, 0]
-    gr = 2.0 * s[:, -1]
+    Electrode bonds are single half-cells: g = 2 s.  s is one (ny, nx) map
+    or a (k, ny, nx) stack of them."""
+    gh = 2.0 * s[..., :-1] * s[..., 1:] / (s[..., :-1] + s[..., 1:])
+    gv = 2.0 * s[..., :-1, :] * s[..., 1:, :] / (s[..., :-1, :] + s[..., 1:, :])
+    gl = 2.0 * s[..., 0]
+    gr = 2.0 * s[..., -1]
     return gh, gv, gl, gr
 
 
@@ -268,44 +271,110 @@ def _oriented(c: ConductivityMap, axis: str) -> np.ndarray:
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def _electrode_current(s: np.ndarray) -> float:
+# Blocks up to this order are inverted by np.linalg.inv; larger ones are
+# split in two by _spd_inverse
+_INV_BASE = 32
+
+
+def _spd_inverse(S: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix, or of each matrix of
+    a (..., n, n) stack.
+
+    np.linalg.inv solves against an identity right-hand side, which costs
+    several matrix products of the same order.  Above _INV_BASE, S is split
+    2x2 at h = n//2 into [[A, B], [B^T, C]] and inverted blockwise
+    (Banachiewicz): with the Schur complement D = C - B^T A^-1 B,
+
+        S^-1 = [[A^-1 + A^-1 B D^-1 B^T A^-1, -A^-1 B D^-1],
+                [-D^-1 B^T A^-1,              D^-1        ]],
+
+    recursing on A and D, so the work above the base case is matmul.  A and
+    D of an SPD matrix are SPD, so no pivoting is needed; a singular block
+    raises np.linalg.LinAlgError from the base case.
+    """
+    n = S.shape[-1]
+    if n <= _INV_BASE:
+        return np.linalg.inv(S)
+    h = n // 2
+    B = S[..., :h, h:]
+    A_inv = _spd_inverse(S[..., :h, :h])
+    AB = A_inv @ B                                        # A^-1 B
+    D_inv = _spd_inverse(S[..., h:, h:] - np.swapaxes(B, -1, -2) @ AB)
+    out = np.empty_like(S)
+    X = np.matmul(AB, D_inv, out=out[..., :h, h:])        # A^-1 B D^-1
+    np.matmul(X, np.swapaxes(AB, -1, -2), out=out[..., :h, :h])
+    out[..., :h, :h] += A_inv
+    X *= -1.0
+    out[..., h:, :h] = np.swapaxes(X, -1, -2)
+    out[..., h:, h:] = D_inv
+    return out
+
+
+def _electrode_currents(s: np.ndarray) -> np.ndarray:
     """Current through the left electrode for unit voltage left->right,
-    insulating top/bottom.
+    insulating top/bottom, for each map of a (k, ny, nx) stack.
 
     Exact column-by-column Schur complement from the right electrode to the
     left: with A_j the Kirchhoff block of column j and G_j = diag(gh[:, j])
     its coupling to column j+1, S <- A_j - G_j S^-1 G_j carries the
     Dirichlet-to-Neumann map of everything right of column j.  The source is
-    nonzero only on column 0, so S_0 V_0 = gl closes the solve.  Memory is
-    O(ny^2) and time O(nx ny^3).
+    nonzero only on column 0, so S_0 V_0 = gl closes the solve.  The k maps
+    are swept in lockstep, one (k, ny, ny) block per column; each map's
+    current is computed exactly as it would be alone.  Memory is O(k ny^2)
+    and time O(k nx ny^3).
     """
-    ny, nx = s.shape
+    k, ny, nx = s.shape
     gh, gv, gl, gr = _bond_conductances(s)
     diag = np.zeros_like(s)
-    diag[:, :-1] += gh
-    diag[:, 1:] += gh
-    diag[:-1, :] += gv
-    diag[1:, :] += gv
-    diag[:, 0] += gl
-    diag[:, -1] += gr
+    diag[..., :-1] += gh
+    diag[..., 1:] += gh
+    diag[..., :-1, :] += gv
+    diag[..., 1:, :] += gv
+    diag[..., 0] += gl
+    diag[..., -1] += gr
 
     def add_block(j: int, S: np.ndarray) -> np.ndarray:
-        flat = S.reshape(-1)
-        flat[::ny + 1] += diag[:, j]
-        flat[1::ny + 1] -= gv[:, j]
-        flat[ny::ny + 1] -= gv[:, j]
+        flat = S.reshape(k, -1)
+        flat[:, ::ny + 1] += diag[..., j]
+        flat[:, 1::ny + 1] -= gv[..., j]
+        flat[:, ny::ny + 1] -= gv[..., j]
         return S
 
-    S = add_block(nx - 1, np.zeros((ny, ny)))
+    S = add_block(nx - 1, np.zeros((k, ny, ny)))
     for j in range(nx - 2, -1, -1):
-        g = gh[:, j]
-        # -g[:, None] * inv(S) * g, scaled in place in the same order
-        S = np.linalg.inv(S)
-        np.multiply(-g[:, None], S, out=S)
-        S *= g
+        g = gh[..., j]
+        # -G S^-1 G for each map: rows scaled by -g, then columns by g, in place
+        S = _spd_inverse(S)
+        np.multiply(-g[:, :, None], S, out=S)
+        S *= g[:, None, :]
         S = add_block(j, S)
-    V0 = np.linalg.solve(S, gl)
-    return float((gl * (1.0 - V0)).sum())
+    V0 = np.linalg.solve(S, gl[..., None])[..., 0]
+    return (gl * (1.0 - V0)).sum(axis=-1)
+
+
+def _sheet_resistances(s: np.ndarray) -> np.ndarray:
+    """Sheet resistance per square of each map of a (k, ny, nx) stack of
+    oriented maps (see _oriented).
+
+    When the stack's sweep fails (a singular block, a floating-point
+    exception, or a current that is not finite and positive for some map),
+    its maps are solved again one at a time, in order, so the first failing
+    map raises LinearSolveError.
+    """
+    k, ny, nx = s.shape
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            current = _electrode_currents(s)
+    except (np.linalg.LinAlgError, FloatingPointError) as err:
+        if k == 1:
+            raise LinearSolveError(f"Kirchhoff elimination failed: {err}") from err
+    else:
+        if (np.isfinite(current) & (current > 0.0)).all():
+            return (1.0 / current) * (ny / nx)
+        if k == 1:
+            raise LinearSolveError(
+                f"Kirchhoff solve gave electrode current {float(current[0])!r}")
+    return np.concatenate([_sheet_resistances(s[i:i + 1]) for i in range(k)])
 
 
 def effective_sheet_resistance(c: ConductivityMap, axis: str) -> float:
@@ -319,58 +388,7 @@ def effective_sheet_resistance(c: ConductivityMap, axis: str) -> float:
     carries no usable current: a singular block, or a current that is not
     finite and positive.
     """
-    s = _oriented(c, axis)
-    ny, nx = s.shape
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            current = _electrode_current(s)
-    except (np.linalg.LinAlgError, FloatingPointError) as err:
-        raise LinearSolveError(f"Kirchhoff elimination failed: {err}") from err
-    if not (math.isfinite(current) and current > 0.0):
-        raise LinearSolveError(f"Kirchhoff solve gave electrode current {current!r}")
-    return (1.0 / current) * (ny / nx)
-
-
-def dense_sheet_resistance(c: ConductivityMap, axis: str) -> float:
-    """Direct dense solve of the same Kirchhoff system; oracle for grids
-    up to 32x32."""
-    s = _oriented(c, axis)
-    ny, nx = s.shape
-    n = nx * ny
-    if n > 32 * 32:
-        raise ValueError(f"dense oracle limited to 1024 cells, got {n}")
-    gh, gv, gl, gr = _bond_conductances(s)
-
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-
-    def k(i, j):
-        return i * nx + j
-
-    for i in range(ny):
-        for j in range(nx - 1):
-            g = gh[i, j]
-            a, c2 = k(i, j), k(i, j + 1)
-            A[a, a] += g
-            A[c2, c2] += g
-            A[a, c2] -= g
-            A[c2, a] -= g
-    for i in range(ny - 1):
-        for j in range(nx):
-            g = gv[i, j]
-            a, c2 = k(i, j), k(i + 1, j)
-            A[a, a] += g
-            A[c2, c2] += g
-            A[a, c2] -= g
-            A[c2, a] -= g
-    for i in range(ny):
-        A[k(i, 0), k(i, 0)] += gl[i]
-        b[k(i, 0)] += gl[i] * 1.0
-        A[k(i, nx - 1), k(i, nx - 1)] += gr[i]
-
-    V = np.linalg.solve(A, b).reshape(ny, nx)
-    current = float((gl * (1.0 - V[:, 0])).sum())
-    return (1.0 / current) * (ny / nx)
+    return float(_sheet_resistances(_oriented(c, axis)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +408,45 @@ class AnalysisRow:
     R_eff_y: float
 
 
+# Entries k*ny*ny of the (k, ny, ny) elimination blocks of one stack of R_eff
+# solves in analyze_fields: 64^2 maps go up to 64 to a stack and 256^2 up to
+# 4, and from 512^2 on every solve runs alone, so a large solve's peak memory
+# is that of one map
+_REFF_STACK_ENTRIES = 2 ** 18
+
+
+def _reff_stacks(shapes, threads: int) -> list[list[int]]:
+    """Indices into `shapes`, the oriented shapes of the R_eff solves, cut
+    into stacks for _sheet_resistances.
+
+    Each group of same-shape solves is cut, in input order, into at least
+    min(threads, group size) contiguous stacks of at most
+    _REFF_STACK_ENTRIES block entries.  Stacks are ordered by first index.
+    """
+    groups = {}
+    for j, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(j)
+    stacks = []
+    for (ny, _), jobs in groups.items():
+        per_stack = max(1, _REFF_STACK_ENTRIES // (ny * ny))
+        n = max(min(threads, len(jobs)), -(-len(jobs) // per_stack))
+        stacks += [jobs[i * len(jobs) // n:(i + 1) * len(jobs) // n] for i in range(n)]
+    return sorted(stacks)
+
+
 def analyze_fields(items, x_c: float = 0.5, sigma_ti: float = 1.0,
                    sigma_al: float = 1e-4, threads: int = 1) -> list[AnalysisRow]:
     """One AnalysisRow per (time, field) pair of `items`, in input order
     (Ti-rich phase throughout).
 
     The R_eff solves, one per field and axis, dominate the cost and are
-    independent, so up to `threads` worker threads run them (LAPACK releases
-    the GIL).  Each solve is computed the same way whichever thread runs it,
-    so the rows do not depend on `threads`.  The first failing solve in input
-    order raises.
+    independent.  Solves of the same oriented shape are swept together in
+    stacks (see _reff_stacks), which up to `threads` worker threads take
+    (BLAS and LAPACK release the GIL).  A solve gives the same bits in any
+    stack and on any thread, so the rows do not depend on `threads`.  A
+    failing stack raises LinearSolveError at its first failing solve; the
+    first failing stack in order of its first solve raises, which for
+    fields of one shape is the first failing solve in input order.
     """
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
@@ -418,16 +465,24 @@ def analyze_fields(items, x_c: float = 0.5, sigma_ti: float = 1.0,
         ))
         cmaps.append(ConductivityMap.from_phase_map(pmap, sigma_ti, sigma_al))
     # two solves per field, in the order (field 0, x), (field 0, y), (field 1, x), ...
-    job_maps = [c for c in cmaps for _ in range(2)]
-    job_axes = ["x", "y"] * len(cmaps)
-    workers = min(threads, len(job_maps))
+    oriented = [_oriented(c, axis) for c in cmaps for axis in ("x", "y")]
+    stacks = _reff_stacks([s.shape for s in oriented], threads)
+
+    def solve(stack: list[int]) -> list[float]:
+        return _sheet_resistances(np.stack([oriented[j] for j in stack])).tolist()
+
+    workers = min(threads, len(stacks))
     if workers <= 1:
-        r_eff = list(map(effective_sheet_resistance, job_maps, job_axes))
+        results = list(map(solve, stacks))
     else:
         # imported here: the serial path, and every other subcommand, never pays for it
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
-            r_eff = list(pool.map(effective_sheet_resistance, job_maps, job_axes))
+            results = list(pool.map(solve, stacks))
+    r_eff = [0.0] * len(oriented)
+    for stack, values in zip(stacks, results):
+        for j, value in zip(stack, values):
+            r_eff[j] = value
     return [AnalysisRow(**row, R_eff_x=rx, R_eff_y=ry)
             for row, rx, ry in zip(rows, r_eff[0::2], r_eff[1::2])]
 

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spinodalkit.analysis import (ConductivityMap, dense_sheet_resistance,
-                                  characteristic_length,
+from spinodalkit.analysis import (ConductivityMap, characteristic_length,
                                   effective_sheet_resistance,
                                   percolation_threshold_mc)
 from spinodalkit import cli
@@ -28,6 +27,7 @@ from spinodalkit.transport import (CONSTANTS, free_electron_params,
                                    sheet_inductance_from_lambda,
                                    sheet_kinetic_inductance,
                                    specific_inductance)
+from dense_oracle import dense_sheet_resistance
 
 
 @pytest.fixture(scope="module")

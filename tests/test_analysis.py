@@ -289,6 +289,19 @@ def test_analyze_fields_rows_are_in_input_order(threads):
         assert row.R_eff_y == effective_sheet_resistance(cmap, "y")
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_analyze_fields_stacks_same_shape_solves(threads):
+    # 40 > 32: the block inverse runs, and the eight solves share one shape,
+    # so they are swept in stacks whose cut depends on `threads`
+    items = [(float(t), gaussian_field(GridSpec(40, 40), 0.47, 0.01, seed=30 + t))
+             for t in range(4)]
+    rows = analyze_fields(items, threads=threads)
+    for row, (t, f) in zip(rows, items):
+        cmap = ConductivityMap.from_phase_map(PhaseMap.from_field(f))
+        assert row.R_eff_x == effective_sheet_resistance(cmap, "x")
+        assert row.R_eff_y == effective_sheet_resistance(cmap, "y")
+
+
 def test_analyze_fields_edge_cases():
     assert analyze_fields([], threads=1) == analyze_fields([], threads=2) == []
     with pytest.raises(ValueError, match="thread count"):

@@ -515,9 +515,9 @@ def test_analyze_report_is_byte_identical_across_runs_and_threads(
     assert all(r == reports[0] for r in reports)
 
 
-# sha256 of `analyze`'s report.csv on a 64x64 run (seed 11, t = 0, 10, 50),
-# as written by the per-format report writer before the shared table writer
-ANALYZE_64_GOLDEN = "fc2c92d04bdde5cda23a99a9328cc81a726b40e7faf860f71c02b3a839312a4b"
+# sha256 of `analyze`'s report.csv on a 64x64 run (seed 11, t = 0, 10, 50);
+# its 64-row elimination blocks go through the Schur-complement block inverse
+ANALYZE_64_GOLDEN = "929f91720da7e6784bc65d797d54c4c21270c482ccfc2be69cf1ebde5819bcbb"
 
 
 def test_analyze_64_report_matches_golden_hash(tmp_path):
@@ -536,20 +536,20 @@ def test_analyze_64_report_matches_golden_hash(tmp_path):
 
 def test_analyze_threads_run_reff_solves_concurrently(tmp_path, config_path,
                                                       monkeypatch):
-    # each solve waits until a second one is running: only a pool of two
-    # workers gets past the barrier, a serial run breaks it
+    # each stack of solves waits until a second one is running: only a pool
+    # of two workers gets past the barrier, a serial run breaks it
     snaps = tmp_path / "snaps"
     cli.main(["simulate", "--config", str(config_path), "--out", str(snaps)])
-    solve = analysis.effective_sheet_resistance
+    sweep = analysis._electrode_currents
     barrier = threading.Barrier(2, timeout=30.0)
     threads_seen = set()
 
-    def rendezvous(c, axis):
+    def rendezvous(s):
         threads_seen.add(threading.get_ident())
         barrier.wait()
-        return solve(c, axis)
+        return sweep(s)
 
-    monkeypatch.setattr(analysis, "effective_sheet_resistance", rendezvous)
+    monkeypatch.setattr(analysis, "_electrode_currents", rendezvous)
     assert cli.main(["analyze", "--in", str(snaps), "--out", str(tmp_path / "a"),
                      "--threads", "2"]) == 0
     assert len(threads_seen) == 2 and threading.get_ident() not in threads_seen

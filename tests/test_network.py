@@ -5,8 +5,10 @@ import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
 from spinodalkit.analysis import (ConductivityMap, LinearSolveError, PhaseMap,
-                                  dense_sheet_resistance, effective_sheet_resistance)
+                                  _electrode_currents, _sheet_resistances,
+                                  _spd_inverse, effective_sheet_resistance)
 from spinodalkit.fields import GridSpec
+from dense_oracle import dense_sheet_resistance
 
 
 def cmap(sigma, h=1.0):
@@ -93,6 +95,72 @@ def test_matches_sparse_direct_solve_on_64_grid():
                     sparse_sheet_resistance_x(c.sigma.T), rtol=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(48, 40), (40, 47)])
+def test_non_square_two_phase_map_matches_sparse_direct_solve(shape):
+    c = two_phase(shape, 1e4, seed=10)
+    assert_allclose(effective_sheet_resistance(c, "x"),
+                    sparse_sheet_resistance_x(c.sigma), rtol=1e-9)
+    assert_allclose(effective_sheet_resistance(c, "y"),
+                    sparse_sheet_resistance_x(c.sigma.T), rtol=1e-9)
+
+
+def random_spd(n, rng):
+    m = rng.standard_normal((n, n))
+    return m @ m.T + n * np.eye(n)
+
+
+def kirchhoff_like(n, rng):
+    """Symmetric, negative off-diagonal, diagonal a little above the row's
+    off-diagonal sum: like the blocks of the column elimination."""
+    off = -rng.random((n, n)) * (rng.random((n, n)) < 0.2)
+    off = np.triu(off, 1)
+    off = off + off.T
+    return off + np.diag(-off.sum(axis=1) + 0.1 + rng.random(n))
+
+
+SPD_SIZES = [1, 2, 5, 16, 31, 32, 33, 47, 64, 65, 100, 129, 130]
+
+
+@pytest.mark.parametrize("make", [random_spd, kirchhoff_like])
+def test_spd_inverse_matches_lapack_inverse(make):
+    rng = np.random.default_rng(14)
+    for n in SPD_SIZES:
+        S = make(n, rng)
+        want = np.linalg.inv(S)
+        got = _spd_inverse(S)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), n
+    # a stack inverts map by map
+    stack = np.stack([make(65, rng) for _ in range(3)])
+    got = _spd_inverse(stack)
+    for S, inv in zip(stack, got):
+        assert np.array_equal(inv, _spd_inverse(S))
+
+
+@pytest.mark.parametrize("n,zero", [(1, 0), (40, 3), (40, 38), (100, 70)])
+def test_spd_inverse_of_singular_matrix_raises(n, zero):
+    # the zero row and column land in the leading block A or in the Schur
+    # complement D
+    S = random_spd(n, np.random.default_rng(15))
+    S[zero, :] = 0.0
+    S[:, zero] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _spd_inverse(S)
+
+
+def test_stacked_currents_equal_single_map_currents():
+    rng = np.random.default_rng(16)
+    maps = [two_phase((64, 64), 1e4, seed=17).sigma,
+            np.exp(rng.standard_normal((64, 64))),
+            two_phase((64, 64), 1e6, seed=18).sigma.T,
+            np.full((64, 64), 3.0),
+            two_phase((64, 64), 1e2, seed=19).sigma]
+    single = [_electrode_currents(s[None])[0] for s in maps]
+    for k in range(1, 6):
+        for start in range(0, 6 - k):
+            got = _electrode_currents(np.stack(maps[start:start + k]))
+            assert got.tolist() == single[start:start + k]
+
+
 def test_axis_swap_is_transpose():
     rng = np.random.default_rng(3)
     sigma = np.exp(rng.standard_normal((8, 14)))
@@ -139,7 +207,12 @@ def test_underflowing_bonds_raise_linear_solve_error():
         effective_sheet_resistance(cmap(np.full((16, 16), 1e-310)), "x")
 
 
-def test_dense_solver_size_guard():
-    c = cmap(np.ones((40, 40)))
-    with pytest.raises(ValueError):
-        dense_sheet_resistance(c, "x")
+def test_failing_map_in_a_stack_raises_linear_solve_error():
+    # the stack's sweep fails, so its maps are solved again one at a time
+    good = two_phase((16, 16), 1e4, seed=20).sigma
+    dead = np.full((16, 16), 1e-310)
+    with pytest.raises(LinearSolveError, match="Kirchhoff"):
+        _sheet_resistances(np.stack([good, dead, good]))
+    single = _sheet_resistances(good[None])
+    assert _sheet_resistances(np.stack([good, good])).tolist() == 2 * single.tolist()
+
