@@ -318,10 +318,15 @@ def _electrode_currents(s: np.ndarray) -> np.ndarray:
     left: with A_j the Kirchhoff block of column j and G_j = diag(gh[:, j])
     its coupling to column j+1, S <- A_j - G_j S^-1 G_j carries the
     Dirichlet-to-Neumann map of everything right of column j.  The source is
-    nonzero only on column 0, so S_0 V_0 = gl closes the solve.  The k maps
-    are swept in lockstep, one (k, ny, ny) block per column; each map's
-    current is computed exactly as it would be alone.  Memory is O(k ny^2)
-    and time O(k nx ny^3).
+    nonzero only on column 0, so S_0 V_0 = gl closes the solve.
+
+    The current sum(gl (1 - V_0)) cancels when column 0 conducts well, so it
+    is taken from the leak l_j, the part of S_j's row sums that flows right:
+    S_j 1 = gh[:, j-1] + l_j (gl for j = 0), with l_{nx-1} = gr and
+    l_j = G_j S_{j+1}^-1 l_{j+1}.  Then 1 - V_0 = S_0^-1 l_0, a sum of
+    non-negative terms.  The k maps are swept in lockstep, one (k, ny, ny)
+    block per column; each map's current is computed exactly as it would be
+    alone.  Memory is O(k ny^2) and time O(k nx ny^3).
     """
     k, ny, nx = s.shape
     gh, gv, gl, gr = _bond_conductances(s)
@@ -341,15 +346,16 @@ def _electrode_currents(s: np.ndarray) -> np.ndarray:
         return S
 
     S = add_block(nx - 1, np.zeros((k, ny, ny)))
+    leak = gr
     for j in range(nx - 2, -1, -1):
         g = gh[..., j]
-        # -G S^-1 G for each map: rows scaled by -g, then columns by g, in place
         S = _spd_inverse(S)
+        leak = g * (S @ leak[..., None])[..., 0]
+        # -G S^-1 G for each map: rows scaled by -g, then columns by g, in place
         np.multiply(-g[:, :, None], S, out=S)
         S *= g[:, None, :]
         S = add_block(j, S)
-    V0 = np.linalg.solve(S, gl[..., None])[..., 0]
-    return (gl * (1.0 - V0)).sum(axis=-1)
+    return (gl * np.linalg.solve(S, leak[..., None])[..., 0]).sum(axis=-1)
 
 
 def _sheet_resistances(s: np.ndarray) -> np.ndarray:

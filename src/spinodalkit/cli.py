@@ -23,7 +23,7 @@ import numpy as np
 # the package modules it uses when it runs, as modules (`from . import
 # fitting`), so callers and tracers that patch a module attribute still see
 # every call.
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config, section
 from .fields import (SEED_LIMIT, DataFormatError, GridSpec, NumericalFailure,
                      gaussian_field, read_snapshot_csv, snapshot_filename,
                      snapshot_time, write_snapshot_csv, write_table_csv)
@@ -65,21 +65,6 @@ def _positive_float(s: str) -> float:
     return v
 
 
-def _resolve_threads(value: int | None) -> int:
-    """--threads, else SPINODALKIT_THREADS, else 1.  The cap never changes
-    results; only `analyze` uses workers (its R_eff solves), the other
-    subcommands check the value and ignore it."""
-    if value is None:
-        raw = os.environ.get("SPINODALKIT_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"SPINODALKIT_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"thread count must be >= 1, got {value}")
-    return value
-
-
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
@@ -99,12 +84,8 @@ def _cmd_simulate(args) -> int:
     from . import solver
     cfg = _load_run_config(args)
     out = _out_dir(cfg.out_dir)
-    spec = GridSpec(cfg.nx, cfg.ny, cfg.h)
-    init = gaussian_field(spec, cfg.mean, cfg.variance, cfg.seed)
-    params = solver.SolverParams(
-        D=cfg.D, kappa=cfg.kappa, dt=cfg.dt, n_steps=cfg.n_steps,
-        snapshot_times=cfg.snapshot_times, diag_stride=cfg.diag_stride,
-        force_dt=args.force_dt)
+    init = gaussian_field(GridSpec(**section(cfg, "grid")), **section(cfg, "init"))
+    params = solver.SolverParams(**section(cfg, "solver"), force_dt=args.force_dt)
 
     def write(result) -> None:
         for t, snap in sorted(result.snapshots.items()):
@@ -182,8 +163,8 @@ def _cmd_analyze(args) -> int:
     # analyze_fields runs two R_eff solves per snapshot on min(threads, solves) workers
     _warn_if_oversubscribed(min(args.threads, 2 * len(paths)))
     snapshots = ((t, read_snapshot_csv(path)) for t, path in paths)
-    rows = analysis.analyze_fields(snapshots, x_c=cfg.x_c, sigma_ti=cfg.sigma_ti,
-                                   sigma_al=cfg.sigma_al, threads=args.threads)
+    rows = analysis.analyze_fields(snapshots, **section(cfg, "analysis"),
+                                   threads=args.threads)
     report = out / "report.csv"
     analysis.write_report_csv(report, rows)
     print(f"analyze: {len(rows)} snapshots -> {report}")
@@ -284,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--in", dest="in_path", required=True,
                            help="input file (or snapshot directory)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=_int_in(1, math.inf),
+        p.add_argument("--threads", type=_int_in(1, math.inf), default=1,
                        help="worker cap; only analyze uses workers "
                             "(results are thread-count independent)")
         return p
@@ -320,7 +301,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        args.threads = _resolve_threads(args.threads)
         return args.func(args)
     # numeric failures first: some of them are also ValueErrors
     except (NumericalFailure, np.linalg.LinAlgError) as err:

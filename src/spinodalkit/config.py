@@ -10,12 +10,12 @@ Full-line comments start with '#' or ';'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
-from .fields import SEED_LIMIT
+from .fields import MIN_GRID, SEED_LIMIT
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config",
-           "serialize_config", "DEFAULT_SNAPSHOT_TIMES"]
+           "serialize_config", "section", "DEFAULT_SNAPSHOT_TIMES"]
 
 DEFAULT_SNAPSHOT_TIMES = (0.0, 10.0, 50.0, 500.0)
 
@@ -78,38 +78,38 @@ def _parse_times(s: str) -> tuple[float, ...]:
     parts = [p for p in s.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty time list")
-    return tuple(_parse_float(p) for p in parts)
+    return tuple(sorted(_parse_float(p) for p in parts))
 
 
-# section -> key -> (attribute, parser, validator or None, constraint text)
+# section -> key -> (parser, validator or None, constraint text).  Each key
+# is a RunConfig attribute and the keyword its section's call takes (see
+# section()).
 _SCHEMA = {
     "grid": {
-        "nx": ("nx", _parse_int, lambda v: v >= 4, ">= 4"),
-        "ny": ("ny", _parse_int, lambda v: v >= 4, ">= 4"),
-        "h": ("h", _parse_float, lambda v: v > 0, "> 0"),
+        "nx": (_parse_int, lambda v: v >= MIN_GRID, f">= {MIN_GRID}"),
+        "ny": (_parse_int, lambda v: v >= MIN_GRID, f">= {MIN_GRID}"),
+        "h": (_parse_float, lambda v: v > 0, "> 0"),
     },
     "init": {
-        "mean": ("mean", _parse_float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-        "variance": ("variance", _parse_float, lambda v: v >= 0, ">= 0"),
-        "seed": ("seed", _parse_int, lambda v: 0 <= v < SEED_LIMIT, "in [0, 2**64)"),
+        "mean": (_parse_float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+        "variance": (_parse_float, lambda v: v >= 0, ">= 0"),
+        "seed": (_parse_int, lambda v: 0 <= v < SEED_LIMIT, "in [0, 2**64)"),
     },
     "solver": {
-        "D": ("D", _parse_float, lambda v: v > 0, "> 0"),
-        "kappa": ("kappa", _parse_float, lambda v: v > 0, "> 0"),
-        "dt": ("dt", _parse_auto_float, lambda v: v is None or v > 0, "'auto' or > 0"),
-        "n_steps": ("n_steps", _parse_opt_int, lambda v: v is None or v >= 0,
-                    "'none' or >= 0"),
-        "snapshot_times": ("snapshot_times", _parse_times,
-                           lambda v: all(t >= 0 for t in v), "times >= 0"),
-        "diag_stride": ("diag_stride", _parse_int, lambda v: v >= 1, ">= 1"),
+        "D": (_parse_float, lambda v: v > 0, "> 0"),
+        "kappa": (_parse_float, lambda v: v > 0, "> 0"),
+        "dt": (_parse_auto_float, lambda v: v is None or v > 0, "'auto' or > 0"),
+        "n_steps": (_parse_opt_int, lambda v: v is None or v >= 0, "'none' or >= 0"),
+        "snapshot_times": (_parse_times, lambda v: all(t >= 0 for t in v), "times >= 0"),
+        "diag_stride": (_parse_int, lambda v: v >= 1, ">= 1"),
     },
     "analysis": {
-        "x_c": ("x_c", _parse_float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-        "sigma_ti": ("sigma_ti", _parse_float, lambda v: v > 0, "> 0"),
-        "sigma_al": ("sigma_al", _parse_float, lambda v: v > 0, "> 0"),
+        "x_c": (_parse_float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+        "sigma_ti": (_parse_float, lambda v: v > 0, "> 0"),
+        "sigma_al": (_parse_float, lambda v: v > 0, "> 0"),
     },
     "paths": {
-        "out_dir": ("out_dir", str, None, ""),
+        "out_dir": (str, None, ""),
     },
 }
 
@@ -140,16 +140,14 @@ def parse_config(text: str) -> RunConfig:
         entry = _SCHEMA[section].get(key)
         if entry is None:
             raise ConfigError(f"unknown key '{section}.{key}'", ln)
-        attr, parse, check, constraint = entry
+        parse, check, constraint = entry
         try:
             parsed = parse(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for '{section}.{key}': {value!r}", ln) from exc
         if check is not None and not check(parsed):
             raise ConfigError(f"'{section}.{key}' must be {constraint}, got {value}", ln)
-        setattr(cfg, attr, parsed)
-    if sorted(cfg.snapshot_times) != list(cfg.snapshot_times):
-        cfg.snapshot_times = tuple(sorted(cfg.snapshot_times))
+        setattr(cfg, key, parsed)
     return cfg
 
 
@@ -170,12 +168,16 @@ def _format_value(v) -> str:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Emit every section/key; parse(serialize(cfg)) reproduces cfg exactly."""
-    known = {f.name for f in dc_fields(RunConfig)}
     lines = []
-    for section, entries in _SCHEMA.items():
-        lines.append(f"[{section}]")
-        for key, (attr, *_rest) in entries.items():
-            assert attr in known
-            lines.append(f"{key} = {_format_value(getattr(cfg, attr))}")
+    for name, entries in _SCHEMA.items():
+        lines.append(f"[{name}]")
+        lines += [f"{key} = {_format_value(getattr(cfg, key))}" for key in entries]
         lines.append("")
     return "\n".join(lines)
+
+
+def section(cfg: RunConfig, name: str) -> dict:
+    """The values of section `name` by key, e.g. the keywords of
+    GridSpec (`grid`), gaussian_field (`init`), SolverParams (`solver`)
+    or analyze_fields (`analysis`)."""
+    return {key: getattr(cfg, key) for key in _SCHEMA[name]}

@@ -100,6 +100,10 @@ def _stack_residual(y: np.ndarray, model_vals) -> np.ndarray:
     return np.asarray(r, dtype=np.float64)
 
 
+# what a model raises for parameters outside its domain
+_DOMAIN_ERRORS = (ValueError, FloatingPointError, ZeroDivisionError, OverflowError)
+
+
 def _numeric_jacobian(residual: Callable[[np.ndarray], np.ndarray],
                       p: np.ndarray, m: int) -> np.ndarray:
     """Central differences dr/dp with one absolute step of 1e-6.  The fit
@@ -126,9 +130,10 @@ def nlls_fit(model: FitModel, x, y, init, max_iter: int = 200) -> FitResult:
     most sqrt(eps) of the data's, the rounding level a noiseless trace ends
     on.  It then still takes that Gauss-Newton step if it lowers the cost.
     Reaching max_iter, finding no downhill step from a point that is not
-    stationary, or a non-finite covariance returns a result flagged
-    non-converged.  Singular normal equations raise SingularFitError with a
-    condition estimate.
+    stationary, a point too near the model's domain edge for the Jacobian,
+    or a non-finite covariance returns a result flagged non-converged.
+    Singular normal equations raise SingularFitError with a condition
+    estimate.
     """
     x, y = np.asarray(x), np.asarray(y)
     p = np.asarray(init, dtype=np.float64).copy()
@@ -181,7 +186,7 @@ def nlls_fit(model: FitModel, x, y, init, max_iter: int = 200) -> FitResult:
             try:
                 r_try = residual(p_try)
                 cost_try = float(r_try @ r_try)
-            except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError):
+            except _DOMAIN_ERRORS:
                 cost_try = math.inf  # trial left the model's domain
             accepted = cost_try < cost
             if accepted or stationary or lam >= 1e12:
@@ -196,11 +201,16 @@ def nlls_fit(model: FitModel, x, y, init, max_iter: int = 200) -> FitResult:
             message = "stationary point" if stationary else \
                 "no downhill step from a point that is not stationary"
             break
-        J = _numeric_jacobian(residual, p, m)
+        try:
+            J = _numeric_jacobian(residual, p, m)
+        except _DOMAIN_ERRORS:   # p lies within one Jacobian step of the domain's edge
+            message = "Jacobian step left the model's domain"
+            break
 
     ss_tot = float(((yy - yy.mean()) ** 2).sum())
     r_squared = 1.0 - cost / ss_tot if ss_tot > 0.0 else float(cost == 0.0)
-    # J is at p, or where the last Gauss-Newton step began: far within an uncertainty
+    # J is at p, or where the last accepted step began; for a converged fit
+    # that step is a Gauss-Newton step, far within an uncertainty
     try:
         cov = np.linalg.inv(J.T @ J) * (cost / max(m - n, 1))
         cov = 0.5 * (cov + cov.T)

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import importlib.util
+import inspect
 import io
 import os
 import subprocess
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 from spinodalkit import analysis, cli, fitting, solver
-from spinodalkit.config import ConfigError
-from spinodalkit.fields import DataFormatError, GridSpec, ScalarField2D, write_snapshot_csv
+from spinodalkit.config import ConfigError, RunConfig, section
+from spinodalkit.fields import (DataFormatError, GridSpec, ScalarField2D, gaussian_field,
+                               write_snapshot_csv)
 from spinodalkit.fitting import model_gl_hc2, model_inv_s21, model_powerlaw_hc2
 from test_fitting import inv_s21_gradient
 
@@ -286,6 +288,28 @@ def test_bad_threads_value_is_usage_error():
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize("name,call,leading", [
+    ("grid", GridSpec, ()),
+    ("init", gaussian_field, (GridSpec(4, 4),)),
+    ("solver", solver.SolverParams, ()),
+    ("analysis", analysis.analyze_fields, ([],)),
+], ids=["grid", "init", "solver", "analysis"])
+def test_config_sections_feed_their_calls_by_keyword(name, call, leading):
+    # simulate and analyze pass each section as keywords, so every key must
+    # name a parameter, and a parameter's library default must be the
+    # config's default
+    values = section(RunConfig(), name)
+    signature = inspect.signature(call)
+    signature.bind(*leading, **values)
+    for key, value in values.items():
+        default = signature.parameters[key].default
+        assert default is inspect.Parameter.empty or default == value, key
+
+
+def test_default_config_gives_default_solver_params():
+    assert solver.SolverParams(**section(RunConfig(), "solver")) == solver.SolverParams()
+
+
 def test_simulate_writes_outputs(tmp_path, config_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["simulate", "--config", str(config_path), "--out", str(out)])
@@ -460,36 +484,6 @@ def test_exit_code_of_each_error_type(tmp_path, capsys, monkeypatch, error, code
     assert capsys.readouterr().err == f"spinodalkit fit-sigma: {error}\n"
 
 
-def test_threads_env_var(tmp_path, config_path, monkeypatch):
-    monkeypatch.setenv("SPINODALKIT_THREADS", "banana")
-    assert cli.main(["simulate", "--config", str(config_path),
-                     "--out", str(tmp_path / "o")]) == 2
-    monkeypatch.setenv("SPINODALKIT_THREADS", "4")
-    assert cli.main(["simulate", "--config", str(config_path),
-                     "--out", str(tmp_path / "o")]) == 0
-
-
-@pytest.mark.parametrize("command", ["simulate", "analyze", "transport", "fit-hc2",
-                                     "fit-resonance", "fit-sigma", "render"])
-def test_threads_env_var_is_checked_by_every_command(
-        tmp_path, config_path, monkeypatch, capsys, command):
-    snap = tmp_path / "snap_t1.csv"
-    rng = np.random.default_rng(7)
-    write_snapshot_csv(ScalarField2D(GridSpec(16, 16), rng.uniform(0, 1, (16, 16))),
-                       snap)
-    argv = {**_film_commands(tmp_path),
-            "simulate": ["simulate", "--config", str(config_path)],
-            "analyze": ["analyze", "--in", str(snap)],
-            "render": ["render", "--in", str(snap)]}[command]
-    out = tmp_path / "out"
-    monkeypatch.setenv("SPINODALKIT_THREADS", "abc")
-    assert cli.main([*argv, "--out", str(out)]) == 2
-    assert "SPINODALKIT_THREADS must be an integer" in capsys.readouterr().err
-    assert not out.exists()
-    monkeypatch.setenv("SPINODALKIT_THREADS", "2")
-    assert cli.main([*argv, "--out", str(out)]) == 0
-
-
 def test_analyze_snapshot_directory(tmp_path, config_path, capsys):
     out = tmp_path / "out"
     cli.main(["simulate", "--config", str(config_path), "--out", str(out)])
@@ -517,7 +511,7 @@ def test_analyze_report_is_byte_identical_across_runs_and_threads(
 
 # sha256 of `analyze`'s report.csv on a 64x64 run (seed 11, t = 0, 10, 50);
 # its 64-row elimination blocks go through the Schur-complement block inverse
-ANALYZE_64_GOLDEN = "929f91720da7e6784bc65d797d54c4c21270c482ccfc2be69cf1ebde5819bcbb"
+ANALYZE_64_GOLDEN = "753db2574b885bc615e12aa4ae09aadaa05d8939be4a8d4eef939ebce6ddb094"
 
 
 def test_analyze_64_report_matches_golden_hash(tmp_path):
@@ -760,14 +754,15 @@ def test_fit_hc2_powerlaw_needs_tc(tmp_path, capsys):
     assert (tmp_path / "fit_hc2_powerlaw.csv").exists()
 
 
-@pytest.mark.parametrize("tc", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("tc", ["-1", "0", "nan", "inf", "abc"])
 def test_fit_hc2_tc_must_be_positive_and_finite(tmp_path, capsys, tc):
     argv = _film_commands(tmp_path)["fit-hc2-powerlaw"][:-1] + [tc]
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as info:
         cli.main([*argv, "--out", str(out)])
     assert info.value.code == 1
-    assert "argument --tc: must be positive and finite" in capsys.readouterr().err
+    reason = "expected a number" if tc == "abc" else "must be positive and finite"
+    assert f"argument --tc: {reason}" in capsys.readouterr().err
     assert not out.exists()
 
 

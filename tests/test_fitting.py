@@ -62,6 +62,9 @@ def test_inv_s21_point_values_and_conjugate_symmetry():
     plus = model_inv_s21(f0 + delta, qi, qc, phi, f0)
     minus = model_inv_s21(f0 - delta, qi, qc, -phi, f0)
     assert_allclose(minus, np.conj(plus), rtol=1e-14)
+    for bad in [(0.0, qc, phi, f0), (qi, -qc, phi, f0), (qi, qc, phi, 0.0)]:
+        with pytest.raises(ValueError):
+            model_inv_s21(f0, *bad)
 
 
 def test_nlls_matches_closed_form_ols():
@@ -169,6 +172,8 @@ def test_nlls_input_validation():
         nlls_fit(LINE, x, y, init=(1.0, np.nan))
     with pytest.raises(ValueError):
         nlls_fit(LINE, np.array([1.0]), np.array([2.0]), init=(1.0, 0.0))
+    with pytest.raises(ValueError):
+        FitModel("none", (), lambda p, t: t)
 
 
 def test_non_finite_model_raises_singular_fit_error():
@@ -196,6 +201,22 @@ def test_singular_covariance_is_not_converged():
     assert res["a"] == pytest.approx(2.0, rel=1e-12)
     assert not res.converged
     assert res.message == "covariance is not finite"
+
+
+def test_jacobian_at_the_domain_edge_ends_the_fit_not_converged():
+    # a * x with a > 0 fitted to y = -x: trials with a <= 0 are rejected,
+    # and the accepted a approach 0 until a Jacobian step crosses it
+    def positive_slope(p, t):
+        if p[0] <= 0:
+            raise ValueError("a must be positive")
+        return p[0] * t
+
+    x = np.linspace(1.0, 5.0, 10)
+    res = nlls_fit(FitModel("pos", ("a",), positive_slope), x, -x, init=(1.0,))
+    assert not res.converged
+    assert res.message == "Jacobian step left the model's domain"
+    assert 0.0 < res["a"] < 1e-6
+    assert all(b < a for a, b in zip(res.cost_trace, res.cost_trace[1:]))
 
 
 def stacked_analytic_gl(T, xi, tc):

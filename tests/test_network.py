@@ -38,6 +38,19 @@ def test_series_and_parallel_laminates():
     assert_allclose(effective_sheet_resistance(c, "y"), parallel, rtol=1e-8)
 
 
+@pytest.mark.parametrize("contrast", [1e4, 1e8, 1e12, 1e16, 1e30])
+def test_well_conducting_electrode_column_keeps_the_current(contrast):
+    # column 0 conducts, the rest is 1/contrast: R = (1 + 15 contrast)/16.
+    # The current used to come from gl (1 - V_0), whose terms cancel here
+    # (relative error 1.7e-3 at 1e12, a negative current at 1e16)
+    sigma = np.full((16, 16), 1.0 / contrast)
+    sigma[:, 0] = 1.0
+    exact = (1.0 + 15.0 * contrast) / 16.0
+    assert_allclose(effective_sheet_resistance(cmap(sigma), "x"), exact, rtol=1e-13)
+    assert_allclose(effective_sheet_resistance(cmap(sigma[:, ::-1]), "x"), exact,
+                    rtol=1e-13)
+
+
 def test_matches_dense_direct_solve():
     rng = np.random.default_rng(12)
     sigma = np.exp(rng.standard_normal((10, 12)))
@@ -199,6 +212,8 @@ def test_invalid_axis_and_sigma():
     bad[1, 2] = np.inf
     with pytest.raises(ValueError):
         cmap(bad)
+    with pytest.raises(ValueError, match="does not match grid"):
+        ConductivityMap(spec=GridSpec(4, 5), sigma=np.ones((4, 4)))
 
 
 def test_underflowing_bonds_raise_linear_solve_error():

@@ -1,10 +1,15 @@
+import argparse
 import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
+
+from spinodalkit.cli import build_parser
+from spinodalkit.config import _SCHEMA, RunConfig, parse_config
 
 MODULES = ["spinodalkit"] + [f"spinodalkit.{m}" for m in (
     "analysis", "config", "fields", "fitting", "render", "solver", "thermo",
@@ -37,12 +42,16 @@ def test_benchmark_tracer_hook_points_exist():
     assert missing == []
 
 
+def _readme_block(heading: str, lang: str) -> str:
+    section = (ROOT / "README.md").read_text().split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_library_example_matches_the_api():
     # the example is not run (its 256^2 solve to t=500 takes a minute), so
     # its imports and the argument count of each call into the package are
     # checked against the code instead
-    section = (ROOT / "README.md").read_text().split("## Library use", 1)[1]
-    tree = ast.parse(section.split("```python\n", 1)[1].split("```", 1)[0])
+    tree = ast.parse(_readme_block("Library use", "python"))
     names = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module.startswith("spinodalkit"):
@@ -56,3 +65,22 @@ def test_readme_library_example_matches_the_api():
                 *node.args, **{k.arg: k.value for k in node.keywords})
             called.add(node.func.id)
     assert "run" in called
+
+
+def test_readme_config_example_is_the_default_config():
+    text = _readme_block("Configuration", "ini")
+    assert parse_config(text) == RunConfig()
+    keys = {line.partition("=")[0].strip() for line in text.splitlines()
+            if "=" in line and not line.startswith(("#", ";"))}
+    assert keys == {key for entries in _SCHEMA.values() for key in entries}
+
+
+def test_readme_command_flags_are_options_of_their_subcommand():
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    lines = [line.split() for line in _readme_block("Command line", "sh").splitlines()
+             if line.startswith("spinodalkit ")]
+    unknown = [(words[1], flag) for words in lines
+               for flag in re.findall(r"--[\w-]+", " ".join(words[2:]))
+               if flag not in subcommands[words[1]]._option_string_actions]
+    assert len(lines) == 8 and unknown == []

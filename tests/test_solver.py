@@ -30,6 +30,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SolverParams(dt=-0.001)
     with pytest.raises(ValueError):
+        SolverParams(n_steps=-1)
+    with pytest.raises(ValueError):
         SolverParams(diag_stride=0)
     with pytest.raises(ValueError):
         SolverParams(snapshot_times=(-1.0,))

@@ -76,6 +76,9 @@ def test_free_electron_internal_identities():
     assert fep.kF_l == fep.k_F * fep.l
     assert fep.rho_xx == 50.0 * 75e-9
     assert_allclose(fep.k_F, (3 * math.pi ** 2 * 2.3e28) ** (1 / 3), rtol=1e-14)
+    for bad in [(0.0, 50.0, 75e-9), (2.3e28, -50.0, 75e-9), (2.3e28, 50.0, 0.0)]:
+        with pytest.raises(ValueError):
+            free_electron_params(*bad)
 
 
 def test_free_electron_depends_on_rho_only_through_product():
@@ -95,6 +98,8 @@ def test_bcs_gap():
     assert_allclose(bcs_gap(3.2), 7.7935e-23, rtol=1e-4)
     assert bcs_gap(0.0) == 0.0
     assert_allclose(bcs_gap(6.4), 2 * bcs_gap(3.2), rtol=1e-14)
+    with pytest.raises(ValueError):
+        bcs_gap(-1.0)
 
 
 def test_kinetic_inductance_reference_films():
@@ -108,6 +113,9 @@ def test_kinetic_inductance_homogeneity():
     base = sheet_kinetic_inductance(100.0, 3.0)
     assert_allclose(sheet_kinetic_inductance(700.0, 3.0), 7 * base, rtol=1e-14)
     assert_allclose(sheet_kinetic_inductance(100.0, 6.0), base / 2, rtol=1e-14)
+    for bad in [(0.0, 3.0), (100.0, 0.0)]:
+        with pytest.raises(ValueError):
+            sheet_kinetic_inductance(*bad)
 
 
 def test_specific_inductance():
@@ -125,6 +133,9 @@ def test_sheet_inductance_thin_film_limit():
     product2 = sheet_inductance_from_lambda(lam, t2) * t2
     coth1 = 1.3130352854993315
     assert_allclose(product2, coth1 * CONSTANTS.mu_0 * lam ** 2, rtol=1e-12)
+    for bad in [(0.0, t), (lam, -t)]:
+        with pytest.raises(ValueError):
+            sheet_inductance_from_lambda(*bad)
 
 
 def test_tc_midpoint_tanh_step():
@@ -158,6 +169,8 @@ def test_record_validation():
         TransportRecord(label="x", d=-1e-9, R_s=10.0, T_c=3.0, hall_slope=1e-3)
     with pytest.raises(ValueError):
         TransportRecord(label="x", d=1e-9, R_s=0.0, T_c=3.0, hall_slope=1e-3)
+    with pytest.raises(ValueError):
+        TransportRecord(label="x", d=1e-9, R_s=10.0, T_c=-1.0, hall_slope=1e-3)
 
 
 def test_derive_transport_composes():
