@@ -197,9 +197,9 @@ def _write_fit_outputs(result, out: Path, stem: str) -> int:
 
 def _cmd_fit_hc2(args) -> int:
     from . import fitting
-    if args.model == "powerlaw" and args.tc is None:
-        print("spinodalkit fit-hc2: --tc is required for --model powerlaw",
-              file=sys.stderr)
+    if (args.model == "powerlaw") != (args.tc is not None):
+        rule = "is required for" if args.tc is None else "applies only to"
+        print(f"spinodalkit fit-hc2: --tc {rule} --model powerlaw", file=sys.stderr)
         return EXIT_USAGE
     out = _out_dir(args.out or ".")
     T, muH = fitting.read_xy_csv(args.in_path, ("T_K", "muH_T"))
@@ -282,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hc2 = add("fit-hc2", _cmd_fit_hc2, "fit an Hc2(T) trace", infile=True)
     p_hc2.add_argument("--model", choices=("gl", "powerlaw"), default="gl")
     p_hc2.add_argument("--tc", type=_positive_float,
-                       help="fixed T_c for the power-law model (K)")
+                       help="fixed T_c of the power-law model (K); "
+                            "required by it, refused by gl")
     add("fit-resonance", _cmd_fit_resonance, "fit a complex S21 trace",
         infile=True)
     add("fit-sigma", _cmd_fit_sigma, "fit conductivity temperature regimes",

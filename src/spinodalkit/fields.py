@@ -168,14 +168,26 @@ def write_snapshot_csv(f: ScalarField2D, path) -> None:
     """Snapshot format: header line `nx,ny,h`, then ny rows of nx values.
 
     Values are written with shortest round-trip repr so read back is
-    bit-identical.
+    bit-identical.  The file is written under a temporary name in the same
+    directory, `<path>.<pid>.tmp`, and renamed onto `path` once complete,
+    so `path` is never left truncated; on any error the temporary file is
+    removed.
     """
     spec = f.spec
-    with open(path, "w", newline="") as fh:
-        fh.write(f"{spec.nx},{spec.ny},{float(spec.h)!r}\n")
-        for row in f.values.tolist():
-            fh.write(",".join(map(repr, row)))
-            fh.write("\n")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(f"{spec.nx},{spec.ny},{float(spec.h)!r}\n")
+            for row in f.values.tolist():
+                fh.write(",".join(map(repr, row)))
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def read_snapshot_csv(path) -> ScalarField2D:
@@ -202,20 +214,22 @@ def read_snapshot_csv(path) -> ScalarField2D:
             raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def read_table_csv(path, header: str, text: int = 0, record=None) -> list:
-    """Rows of a table CSV.  The first line must be `header` (spaces around
-    names aside) and blank lines are skipped; every other row has exactly
-    the header's fields, the first `text` kept as stripped strings and the
-    rest finite floats.  A row is the tuple of its fields, or
-    `record(*fields)`.  Any fault, a ValueError from `record` too, is a
-    DataFormatError naming `path:line`; so is a file without data rows."""
+def _table_reader(path, fh, header: str):
+    """A csv reader over `fh` past its first line, which must be `header`
+    (spaces around names aside)."""
+    reader = csv.reader(fh)
+    first = next(reader, None)
+    if first is None or [c.strip() for c in first] != header.split(","):
+        raise DataFormatError(f"{path}: expected header '{header}'")
+    return reader
+
+
+def _table_rows(path, header: str, text: int, record) -> list:
+    """read_table_csv's row loop: every row parsed and checked in Python."""
     names = header.split(",")
     rows = []
     with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or [c.strip() for c in first] != names:
-            raise DataFormatError(f"{path}: expected header '{header}'")
+        reader = _table_reader(path, fh, header)
         for row in reader:
             if not row:
                 continue
@@ -233,6 +247,44 @@ def read_table_csv(path, header: str, text: int = 0, record=None) -> list:
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return rows
+
+
+def _table_columns(path, header: str) -> np.ndarray:
+    """The columns of an all-numeric table, as a C-contiguous float64 array
+    of shape (columns, rows), under read_table_csv's rules.
+
+    numpy's C reader parses the body with the same correctly rounded
+    conversion as float().  Its result is kept only when it has at least
+    one row of exactly the header's fields, all finite; anything else (a
+    fault, or a form only float() reads, such as `1_000` or a quoted
+    field) is parsed again by the row loop, which names the faulty line.
+    """
+    with open(path, "r", newline="") as fh:
+        _table_reader(path, fh, header)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty body falls back
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            values = None
+    if (values is None or values.shape[0] == 0
+            or values.shape[1] != header.count(",") + 1 or not np.isfinite(values).all()):
+        values = np.array(_table_rows(path, header, 0, None))
+    return values.T.copy()
+
+
+def read_table_csv(path, header: str, text: int = 0, record=None) -> list:
+    """Rows of a table CSV.  The first line must be `header` (spaces around
+    names aside) and blank lines are skipped; every other row has exactly
+    the header's fields, the first `text` kept as stripped strings and the
+    rest finite floats.  A row is the tuple of its fields, or
+    `record(*fields)`.  Any fault, a ValueError from `record` too, is a
+    DataFormatError naming `path:line`; so is a file without data rows.
+    An all-numeric table (`text` 0, no `record`) is parsed in C first, with
+    the same result."""
+    if text == 0 and record is None:
+        return list(zip(*_table_columns(path, header).tolist()))
+    return _table_rows(path, header, text, record)
 
 
 def _table_cell(v) -> str:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import NumericalFailure, read_table_csv, write_table_csv
+from .fields import NumericalFailure, _table_columns, write_table_csv
 from .transport import CONSTANTS, _ols_line
 
 __all__ = [
@@ -424,13 +424,13 @@ def fit_conductivity_regimes(T, sigma) -> ConductivityRegimes:
 
 def read_xy_csv(path, columns: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
     """Two-column numeric CSV with an exact header, e.g. (T_K, muH_T)."""
-    x, y = np.array(read_table_csv(path, ",".join(columns))).T.copy()
+    x, y = _table_columns(path, ",".join(columns))
     return x, y
 
 
 def read_s21_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Resonance trace with header f_Hz,re_S21,im_S21; returns (f, complex S21)."""
-    f, real, imag = np.array(read_table_csv(path, "f_Hz,re_S21,im_S21")).T.copy()
+    f, real, imag = _table_columns(path, "f_Hz,re_S21,im_S21")
     return f, real + 1j * imag
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import read_table_csv, write_table_csv
+from .fields import _table_columns, read_table_csv, write_table_csv
 
 __all__ = [
     "PhysicalConstants",
@@ -219,14 +219,30 @@ def derive_transport(rec: TransportRecord) -> DerivedTransport:
     )
 
 
+def _derivable_film(*fields) -> TransportRecord:
+    """A TransportRecord from which derive_transport gives finite numbers;
+    a ValueError, prefixed with the film's label, otherwise."""
+    rec = TransportRecord(*fields)
+    try:
+        d = derive_transport(rec)
+    except ValueError as exc:
+        raise ValueError(f"{rec.label}: {exc}") from exc
+    except ArithmeticError:  # a product underflowed to 0 and was divided by
+        d = None
+    if d is None or not all(map(math.isfinite, (d.gap, d.L_k, *vars(d.electrons).values()))):
+        raise ValueError(f"{rec.label}: derived values leave the float range")
+    return rec
+
+
 def read_transport_csv(path) -> list[TransportRecord]:
-    """Input rows: label,d_m,Rs_ohm_sq,Tc_K,hall_slope_ohm_per_T."""
-    return read_table_csv(path, TRANSPORT_HEADER, text=1, record=TransportRecord)
+    """Input rows: label,d_m,Rs_ohm_sq,Tc_K,hall_slope_ohm_per_T, each a
+    film that derive_transport turns into finite numbers."""
+    return read_table_csv(path, TRANSPORT_HEADER, text=1, record=_derivable_film)
 
 
 def read_rt_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """R(T) trace with header T_K,R_ohm."""
-    T, R = np.array(read_table_csv(path, "T_K,R_ohm")).T.copy()
+    T, R = _table_columns(path, "T_K,R_ohm")
     return T, R
 
 

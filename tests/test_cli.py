@@ -754,6 +754,17 @@ def test_fit_hc2_powerlaw_needs_tc(tmp_path, capsys):
     assert (tmp_path / "fit_hc2_powerlaw.csv").exists()
 
 
+def test_fit_hc2_gl_refuses_tc(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = _film_commands(tmp_path)["fit-hc2"]
+    for model in ([], ["--model", "gl"]):
+        code = cli.main([*argv, *model, "--tc", "3.2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "spinodalkit fit-hc2: --tc applies only to --model powerlaw\n")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("tc", ["-1", "0", "nan", "inf", "abc"])
 def test_fit_hc2_tc_must_be_positive_and_finite(tmp_path, capsys, tc):
     argv = _film_commands(tmp_path)["fit-hc2-powerlaw"][:-1] + [tc]
@@ -814,10 +825,25 @@ REJECTED_INPUTS = {
     "fit-resonance_one_row": (
         "fit-resonance", "f_Hz,re_S21,im_S21\n6e9,0.5,0.1\n",
         "inv_s21: 1 observations cannot constrain 4 parameters"),
+    # a film that derive_transport would refuse is refused at its line
     "transport_negative_hall_slope": (
         "transport", "label,d_m,Rs_ohm_sq,Tc_K,hall_slope_ohm_per_T\n"
                      "tan,1e-07,132.3,3.2,-0.0039\n",
-        "Hall slope must be positive (electron-like), got -0.0039"),
+        "{src}:2: tan: Hall slope must be positive (electron-like), got -0.0039"),
+    "transport_zero_tc": (
+        "transport", "label,d_m,Rs_ohm_sq,Tc_K,hall_slope_ohm_per_T\n"
+                     "f1,1e-07,132.3,3.2,0.0039\nf2,1e-07,100.0,0,0.0039\n",
+        "{src}:3: f2: inputs must be positive, got R_s=100.0 T_c=0.0"),
+    # Hall slope x e x d underflows to 0
+    "transport_underflowing_hall_slope": (
+        "transport", "label,d_m,Rs_ohm_sq,Tc_K,hall_slope_ohm_per_T\n"
+                     "f1,1e-07,132.3,3.2,1e-300\n",
+        "{src}:2: f1: derived values leave the float range"),
+    # n_e = 1 / (slope e d) overflows to inf, and l to nan
+    "transport_overflowing_carrier_density": (
+        "transport", "label,d_m,Rs_ohm_sq,Tc_K,hall_slope_ohm_per_T\n"
+                     "f1,1e-07,132.3,3.2,1e-290\n",
+        "{src}:2: f1: derived values leave the float range"),
 }
 
 
@@ -828,7 +854,7 @@ def test_invalid_input_values_are_data_errors(tmp_path, capsys, command, content
     src = tmp_path / "in.csv"
     src.write_text(content)
     assert cli.main([command, "--in", str(src), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"spinodalkit {command}: {message}\n"
+    assert capsys.readouterr().err == f"spinodalkit {command}: {message.format(src=src)}\n"
 
 
 FILM_INPUT_HEADERS = {

@@ -209,3 +209,34 @@ def test_snapshot_csv_reads_every_value_exactly(tmp_path):
     v = read_snapshot_csv(p).values
     want = np.array([float(x) for x in awkward * 2]).reshape(4, 4)
     assert v.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt()],
+                         ids=["os_error", "interrupt"])
+def test_failed_snapshot_write_leaves_no_partial_file(tmp_path, monkeypatch, exc):
+    from spinodalkit import fields
+    f = gaussian_field(GridSpec(8, 8), 0.48, 1e-3, seed=2)
+    g = gaussian_field(GridSpec(8, 8), 0.48, 1e-3, seed=3)
+    calls = []
+
+    def failing_repr(x):  # the writer's per-value formatter, failing halfway
+        calls.append(x)
+        if len(calls) == 32:
+            raise exc
+        return repr(x)
+
+    monkeypatch.setattr(fields, "repr", failing_repr, raising=False)
+    with pytest.raises(type(exc)):
+        write_snapshot_csv(f, tmp_path / "snap_t0.csv")
+    assert len(calls) == 32
+    assert list(tmp_path.iterdir()) == []
+    # a failed rewrite keeps the complete file that was there
+    monkeypatch.undo()
+    write_snapshot_csv(g, tmp_path / "snap_t0.csv")
+    before = (tmp_path / "snap_t0.csv").read_bytes()
+    calls.clear()
+    monkeypatch.setattr(fields, "repr", failing_repr, raising=False)
+    with pytest.raises(type(exc)):
+        write_snapshot_csv(f, tmp_path / "snap_t0.csv")
+    assert [p.name for p in tmp_path.iterdir()] == ["snap_t0.csv"]
+    assert (tmp_path / "snap_t0.csv").read_bytes() == before

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from spinodalkit import cli, fitting
+from spinodalkit import cli, fields, fitting
 from spinodalkit.analysis import AnalysisRow, write_report_csv
-from spinodalkit.fields import DataFormatError, read_table_csv, write_table_csv
+from spinodalkit.fields import (DataFormatError, _table_columns, _table_rows,
+                                read_table_csv, write_table_csv)
 from spinodalkit.fitting import (ConductivityRegimes, FitResult, LinearFit,
                                  read_s21_csv, read_xy_csv, write_fit_csv)
 from spinodalkit.solver import DiagnosticsRecord, write_diagnostics_csv
@@ -99,6 +100,128 @@ def test_transport_record_faults_name_the_line(tmp_path):
                  "tan,1e-07,132.3,3.2,0.0039\ntin,-1e-07,8.5,3.8,0.0014\n")
     with pytest.raises(DataFormatError, match=r"films\.csv:3: tin: thickness must be positive"):
         read_transport_csv(p)
+
+
+# The numeric readers parse with numpy's C reader and fall back to the row
+# loop, which is the oracle: same bits, or the same error.
+_R = np.random.default_rng(19)
+_DOUBLES = [*(_R.standard_normal(4) * 10.0 ** _R.integers(-300, 300, 4)).tolist(), 1 / 3, 0.1]
+VALUE_TEXTS = [
+    *map(repr, _DOUBLES), *("%.17g" % v for v in _DOUBLES), *("%.3e" % v for v in _DOUBLES),
+    "0", "7", "-12", "+3", " 1.5 ", "\t2\t", "-0.0", "5e-324", "2.2250738585072014e-308",
+    "1e308", "-1.7976931348623157e308", ".5", "5.", "1E5",
+]
+ODD_TEXTS = ['"1.0"', '" 2"', "1_000", "", "nan", "inf", "-Infinity", "1e400",
+             "\ufeff1", "1 2", "0x10", "#1", "\u0661"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+# corpus cases the C reader must finish alone
+FAST_CASES = {"plain'\\n'", "plain'\\r\\n'", "plain'\\r'", "one_row", "no_final_line_end",
+              "blank_lines"}
+
+
+def _lines(rows, end="\n"):
+    return "".join(",".join(row) + end for row in rows)
+
+
+def _corpus(header):
+    """(name, file text) pairs for a numeric table with `header`."""
+    n = header.count(",") + 1
+    plain = [VALUE_TEXTS[i:i + n] for i in range(0, len(VALUE_TEXTS) - n + 1, n)]
+    row = plain[0]
+    bodies = [(f"plain{end!r}", _lines(plain, end)) for end in LINE_ENDS]
+    bodies += [
+        ("one_row", _lines([row])),
+        ("no_final_line_end", _lines(plain)[:-1]),
+        ("blank_lines", "\n" + _lines(plain[:2], "\n\n") + "\r\n\r\n"),
+        ("whitespace_line", _lines([row]) + "   \n" + _lines([row])),
+        ("tab_line", _lines([row]) + "\t\r\n" + _lines([row])),
+        ("trailing_comma", _lines([row]) + ",".join(row) + ",\n"),
+        ("missing_field", _lines([row, row[:-1]])),
+        ("extra_field", _lines([row, [*row, "1"]])),
+        ("every_row_short", _lines([row[:-1]] * 3)),
+        ("every_row_long", _lines([[*row, "1"]] * 3)),
+        ("header_only", ""),
+        ("blank_body", "\n\n"),
+        ("multiline_quote", _lines([row]) + '"1\n2",' + ",".join(row[1:]) + "\n"),
+    ]
+    bodies += [(f"odd_{t!r}", _lines([row, [t, *row[1:]], row])) for t in ODD_TEXTS]
+    bodies += [(f"odd_last_{t!r}", _lines([[*row[:-1], t]])) for t in ODD_TEXTS]
+    # random mixes of the above, line ends and row lengths included
+    rng = np.random.default_rng(7)
+    pool = VALUE_TEXTS * 3 + ODD_TEXTS
+    for k in range(150):
+        lines = []
+        for _ in range(rng.integers(1, 6)):
+            width = n if rng.random() < 0.85 else int(rng.integers(1, n + 2))
+            line = ",".join(pool[i] for i in rng.integers(0, len(pool), width))
+            lines.append(line + LINE_ENDS[rng.integers(0, 3)])
+            if rng.random() < 0.1:
+                lines.append(["", " ", "\r\n"][rng.integers(0, 3)] + "\n")
+        bodies.append((f"mix{k}", "".join(lines)))
+    first = {"plain'\\r\\n'": "\r\n", "plain'\\r'": "\r"}
+    cases = [(name, header + first.get(name, "\n") + body) for name, body in bodies]
+    return [*cases, ("bom_before_header", "\ufeff" + header + "\n" + _lines([row]))]
+
+
+NUMERIC_READERS = {
+    "xy": ("T_K,muH_T", lambda p: read_xy_csv(p, ("T_K", "muH_T")), lambda c: (c[0], c[1])),
+    "rt": ("T_K,R_ohm", read_rt_csv, lambda c: (c[0], c[1])),
+    "s21": ("f_Hz,re_S21,im_S21", read_s21_csv, lambda c: (c[0], c[1] + 1j * c[2])),
+    "one_column": ("x", lambda p: [np.array(read_table_csv(p, "x")).T.copy()], lambda c: [c]),
+}
+
+
+def _outcome(call):
+    """The arrays `call` returns, as (dtype, shape, bytes), or its error."""
+    try:
+        got = call()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in got]
+
+
+@pytest.mark.parametrize("reader", list(NUMERIC_READERS))
+def test_numeric_readers_give_the_row_loops_result(tmp_path, monkeypatch, reader):
+    header, read, columns = NUMERIC_READERS[reader]
+    loop = fields._table_rows
+    fallbacks = []
+    monkeypatch.setattr(fields, "_table_rows", lambda *a: fallbacks.append(1) or loop(*a))
+    looped = set()
+    p = tmp_path / "t.csv"
+    for name, text in _corpus(header):
+        p.write_text(text, encoding="utf-8", newline="")
+
+        def oracle():
+            return np.array(loop(p, header, 0, None))
+        before = len(fallbacks)
+        assert _outcome(lambda: read(p)) == _outcome(lambda: columns(oracle().T.copy())), name
+        if len(fallbacks) > before:
+            looped.add(name)
+        assert _outcome(lambda: [_table_columns(p, header)]) == _outcome(
+            lambda: [oracle().T.copy()]), name
+        assert _outcome(lambda: [np.array(read_table_csv(p, header))]) == _outcome(
+            lambda: [oracle()]), name
+    assert not looped & FAST_CASES
+    assert {"odd_'1_000'", "odd_'\"1.0\"'", "trailing_comma", "odd_last_'nan'"} <= looped
+    assert 0 < len({name for name in looped if name.startswith("mix")}) < 150
+
+
+@pytest.mark.parametrize("reader", list(NUMERIC_READERS))
+def test_plain_numeric_trace_is_parsed_without_the_row_loop(tmp_path, monkeypatch, reader):
+    header, read, columns = NUMERIC_READERS[reader]
+    n = header.count(",") + 1
+    p = tmp_path / "t.csv"
+    values = np.random.default_rng(3).standard_normal((60, n))
+    p.write_text(header + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in values.tolist()))
+    want = columns(values.T.copy())
+
+    def no_loop(*args):
+        raise AssertionError("the row loop ran on a plain trace")
+    monkeypatch.setattr(fields, "_table_rows", no_loop)
+    assert [a.tobytes() for a in read(p)] == [b.tobytes() for b in want]
+    p.write_text(header + "\n" + ",".join(["1_000"] * n) + "\n")
+    with pytest.raises(AssertionError, match="row loop"):
+        read(p)  # a form only float() reads goes to the loop
 
 
 # values that print differently under naive formatting: signed zero, the
