@@ -161,13 +161,14 @@ def test_percolation_threshold_small_grid():
     assert again == (mean, err)
 
 
-# (p_hat, stderr) of the one-trial-at-a-time estimator these replaced; the
-# stacked trials must reproduce them bit for bit.  53 trials at L=64 leave a
-# short last stack.
+# (p_hat, stderr) of the one-trial-at-a-time bisection these replaced; the
+# stacked trials and the search from p_c must reproduce them bit for bit.
+# 53 trials at L=64 leave a short last stack.
 PINNED_PERCOLATION = {
     (32, 50, 3): (0.5946146049857497, 0.005292661303568006),
     (64, 50, 0): (0.5857329763125021, 0.0029524661817944336),
     (64, 53, 11): (0.5910570947362138, 0.003085239829171695),
+    (128, 50, 5): (0.594658876616574, 0.002055235098436597),
 }
 
 
@@ -178,17 +179,51 @@ def test_percolation_estimates_are_pinned(args):
 
 
 def test_percolation_labels_stacks_of_at_most_2_16_cells(monkeypatch):
-    sizes = []
-    label = scipy.ndimage.label
+    # every label call holds at most 16 trials of 64^2 (2^16 trial cells),
+    # each a 64-row mask followed by one blank row, and only trials whose
+    # onset is still open
+    stacks, calls = [], []
+    spanning_onsets, label = analysis._spanning_onsets, scipy.ndimage.label
 
-    def record(mask, *args, **kwargs):
-        sizes.append(mask.size)
-        return label(mask, *args, **kwargs)
+    def record_stack(u):
+        stacks.append(u)
+        return spanning_onsets(u)
 
-    monkeypatch.setattr(scipy.ndimage, "label", record)
+    def record_label(image, *args, **kwargs):
+        calls.append((len(stacks) - 1, image.copy()))
+        return label(image, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_spanning_onsets", record_stack)
+    monkeypatch.setattr(scipy.ndimage, "label", record_label)
     percolation_threshold_mc(L=64, trials=53, seed=11)
-    assert max(sizes) == 2 ** 16              # 16 trials of 64^2 per call
-    assert sorted(set(sizes)) == [5 * 64 * 64, 2 ** 16]
+    monkeypatch.undo()
+    assert [len(u) for u in stacks] == [16, 16, 16, 5]
+
+    fields = [f for u in stacks for f in u]
+    v = [np.sort(f.ravel()) for f in fields]
+    onset = [int(np.searchsorted(s, _per_field_onset(f)))
+             for s, f in zip(v, fields)]
+    probes = [[] for _ in fields]     # ranks each trial was labelled at
+    for stack, image in calls:
+        assert image.shape[1] == 64 and image.shape[0] % 65 == 0
+        masks = image.reshape(-1, 65, 64)
+        assert 1 <= len(masks) <= 16 and not masks[:, 64].any()
+        # the masks are trials of this stack, in stack order
+        trial = 16 * stack
+        for mask in masks[:, :64]:
+            rank = int(mask.sum()) - 1
+            while not np.array_equal(mask, fields[trial] <= v[trial][rank]):
+                trial += 1
+            probes[trial].append(rank)
+            trial += 1
+    n = 64 * 64
+    for r, seen in zip(onset, probes):
+        def known(ranks):
+            return ((r == n - 1 or r in ranks)
+                    and (r == 0 or r - 1 in ranks))
+        assert known(seen) and not known(seen[:-1])
+    # the bisection over all 4096 ranks took 12 passes per trial
+    assert sum(map(len, probes)) <= 10 * len(fields)
 
 
 def test_spanning_onset_is_exact():
@@ -199,6 +234,12 @@ def test_spanning_onset_is_exact():
     column = 0.1 * rng.random(32)
     u[:, 5] = column
     assert analysis._spanning_onsets(u[None])[0] == column.max()
+    # only row 17 holds values above 0.99: every other cell is in before
+    # any of it, and the first cell of that row completes a spanning path
+    u = 0.99 * rng.random((32, 32))
+    row = 0.99 + 0.01 * rng.random(32)
+    u[17] = row
+    assert analysis._spanning_onsets(u[None])[0] == row.min()
 
 
 def _per_field_onset(u):
@@ -218,13 +259,24 @@ def _per_field_onset(u):
 def test_stacked_onsets_match_per_field_bisection():
     rng = np.random.default_rng(5)
     stacks = [rng.random((k, 32, 32)) for k in range(1, 6)]
+    stacks += [rng.random((3, 32, 48)), rng.random((3, 48, 32))]
     # "leak" stack: even fields are low only in their top 20 rows, odd ones
     # only in their bottom 20; a structure linking neighbouring fields would
     # join the overlap and let each odd field span at a low value
     leak = 0.5 + 0.5 * rng.random((4, 32, 32))
     leak[0::2, :20] = 0.1 * rng.random((2, 20, 32))
     leak[1::2, -20:] = 0.1 * rng.random((2, 20, 32))
-    for u in stacks + [leak]:
+    # onsets far from p_c: one low column spans at rank ny - 1 (a long
+    # search down), one high row holds the onset at rank n - nx (a long
+    # search up); mixed with random fields, the trials finish in different
+    # rounds
+    column = 0.9 + 0.1 * rng.random((32, 32))
+    column[:, 7] = 0.1 * rng.random(32)
+    row = 0.99 * rng.random((32, 32))
+    row[20] = 0.99 + 0.01 * rng.random(32)
+    mixed = np.stack([rng.random((32, 32)), row, column, rng.random((32, 32)),
+                      leak[1]])
+    for u in stacks + [leak, column[None], row[None], mixed]:
         expected = [_per_field_onset(field) for field in u]
         assert analysis._spanning_onsets(u).tolist() == expected
     assert (analysis._spanning_onsets(leak) > 0.5).all()
