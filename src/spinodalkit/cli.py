@@ -230,9 +230,9 @@ def _cmd_fit_sigma(args) -> int:
     write_table_csv(path, "window,abscissa,slope,intercept,r_squared",
                     [("high_T", "T", hi.slope, hi.intercept, hi.r_squared),
                      ("low_T", "sqrt_T", lo.slope, lo.intercept, lo.r_squared)])
-    print(f"high-T window {regimes.high_window}: sigma = {hi.slope:.6g}*T + "
+    print(f"high-T window {fitting.HIGH_T_WINDOW}: sigma = {hi.slope:.6g}*T + "
           f"{hi.intercept:.6g}  (R^2={hi.r_squared:.6f})")
-    print(f"low-T window {regimes.low_window}: sigma = {lo.slope:.6g}*sqrt(T) + "
+    print(f"low-T window {fitting.LOW_T_WINDOW}: sigma = {lo.slope:.6g}*sqrt(T) + "
           f"{lo.intercept:.6g}  (R^2={lo.r_squared:.6f})")
     print(f"fit: report -> {path}")
     return EXIT_OK
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     except (NumericalFailure, np.linalg.LinAlgError) as err:
         print(f"spinodalkit {args.command}: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as err:  # bad input: config, data files, values
+    except (ValueError, OSError, MemoryError) as err:  # bad input: config, data, values, sizes
         print(f"spinodalkit {args.command}: {err}", file=sys.stderr)
         return EXIT_DATA
 

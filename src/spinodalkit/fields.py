@@ -161,7 +161,7 @@ def snapshot_time(path) -> float | None:
     if not math.isfinite(t):
         raise DataFormatError(f"{path}: snapshot time {m.group(1)!r} in the file "
                               "name is not a finite number")
-    return t
+    return t + 0.0   # snap_t-0.csv names time 0.0, not -0.0
 
 
 def write_snapshot_csv(f: ScalarField2D, path) -> None:

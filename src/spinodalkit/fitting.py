@@ -387,8 +387,6 @@ class LinearFit:
 class ConductivityRegimes:
     high_T: LinearFit   # sigma vs T on the high window
     low_T: LinearFit    # sigma vs sqrt(T) on the low window
-    high_window: tuple[float, float]
-    low_window: tuple[float, float]
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> LinearFit:
@@ -414,8 +412,7 @@ def fit_conductivity_regimes(T, sigma) -> ConductivityRegimes:
         if int(m.sum()) < 3:
             raise ValueError(f"fewer than 3 points in window [{lo}, {hi}] K")
         fits.append(_ols(transform(T[m]), sigma[m]))
-    return ConductivityRegimes(high_T=fits[0], low_T=fits[1],
-                               high_window=HIGH_T_WINDOW, low_window=LOW_T_WINDOW)
+    return ConductivityRegimes(high_T=fits[0], low_T=fits[1])
 
 
 # ---------------------------------------------------------------------------

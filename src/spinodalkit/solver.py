@@ -6,13 +6,14 @@ Update rule (forward Euler, composed 5-point Laplacians):
     x  <- x + dt * D * lap(mu)
 
 The scheme conserves the mean exactly (the discrete Laplacian of any field
-sums to zero) and dissipates the free energy when dt is inside the linear
-stability window.  Von Neumann analysis of the update linearised about the
-worst-case curvature G''=2 gives, with q_max = 8/h^2 for the 5-point
-stencil, dt_crit = 2 / (D q_max (G''_max + 2 kappa q_max)) ~ 0.0139 at
-D=kappa=h=1.  The default step h^4/(200 D kappa) = 0.005 sits well inside
-it; anything above the hard ceiling h^4/(16 D kappa) is rejected outright
-unless force_dt is set.
+sums to zero) and dissipates the free energy `thermo.free_energy`, whose
+gradient is h^2 mu, when dt is inside the linear stability window.  Von
+Neumann analysis of the update linearised about the worst-case curvature
+G''=2 gives, with q_max = 8/h^2 for the 5-point stencil,
+dt_crit = 2 / (D q_max (G''_max + 2 kappa q_max)) ~ 0.0139 at D=kappa=h=1.
+The default step h^4/(200 D kappa) = 0.005 sits well inside it; anything
+above the hard ceiling h^4/(16 D kappa) is rejected outright unless force_dt
+is set.
 
 A step touches three field buffers and one (ny, 2) edge buffer, all
 allocated once by `run`: it reads `values`, uses `mu` as the first
@@ -94,18 +95,18 @@ class SolverParams:
     force_dt: bool = False
 
     def __post_init__(self):
-        if self.D <= 0 or self.kappa <= 0:
-            raise ValueError(f"D and kappa must be positive, got D={self.D} kappa={self.kappa}")
+        if not all(math.isfinite(v) and v > 0 for v in (self.D, self.kappa)):
+            raise ValueError(f"D and kappa must be finite and > 0: D={self.D} kappa={self.kappa}")
         if self.dt is not None and self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.n_steps is not None and self.n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {self.n_steps}")
         if self.diag_stride < 1:
             raise ValueError(f"diag_stride must be >= 1, got {self.diag_stride}")
-        if any(t < 0 for t in self.snapshot_times):
+        if not all(t >= 0 for t in self.snapshot_times):
             raise ValueError("snapshot times must be non-negative")
         object.__setattr__(self, "snapshot_times",
-                           tuple(sorted(float(t) for t in self.snapshot_times)))
+                           tuple(sorted(float(t) + 0.0 for t in self.snapshot_times)))
 
     def resolve_dt(self, h: float) -> float:
         """The step to take on a grid of spacing h.  Raises TimeStepError

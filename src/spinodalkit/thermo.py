@@ -3,9 +3,9 @@
 The package has one bulk free energy, the Cahn-Hilliard double well
 G(x) = x^2 (1-x)^2; the functions here evaluate that one model.
 All thermodynamic quantities are dimensionless solver units. The functional
-uses kappa*|grad x|^2, whose variational derivative is -2*kappa*laplacian(x);
-factor-of-two conventions differ across the literature, so this one is fixed
-here and the solver's chemical potential matches it.
+F sums [G(x) + kappa |grad_h x|^2] h^2 over cells, grad_h x being periodic
+forward differences; its gradient is h^2 times the solver's chemical
+potential mu = G'(x) - 2 kappa lap(x), so F is what the scheme dissipates.
 """
 
 from __future__ import annotations
@@ -60,27 +60,25 @@ def spinodal_interval() -> tuple[float, float]:
 
 
 def free_energy(f: ScalarField2D, kappa: float) -> float:
-    """Total free energy F = sum over cells of [G(x) + kappa |grad x|^2] h^2.
+    """F = sum over cells of [G(x) + kappa ((x[i,j+1] - x[i,j])^2
+    + (x[i+1,j] - x[i,j])^2) / h^2] h^2, with periodic forward differences.
 
-    The gradient is a centered periodic difference. This functional is a
-    diagnostic Lyapunov monitor; it is not bit-for-bit the quantity the
-    stencil-composed solver dissipates, hence descent checks carry a slack.
+    Its gradient in the cell values is exactly h^2 (G'(x) - 2 kappa lap(x))
+    with the 5-point Laplacian lap: h^2 times the solver's `mu`.
     """
-    if kappa < 0:
-        raise ValueError(f"gradient-energy coefficient must be non-negative, got {kappa}")
+    if not 0 <= kappa < math.inf:
+        raise ValueError(f"gradient-energy coefficient must be finite and >= 0, got {kappa}")
     v = f.values
     h = f.spec.h
-    gx, gy = np.empty_like(v), np.empty_like(v)
-    # g[i] = (w[i+1] - w[i-1]) / 2h along the first axis of each view
-    for g, w in ((gx.T, v.T), (gy, v)):
-        np.subtract(w[2:], w[:-2], out=g[1:-1])
-        np.subtract(w[1], w[-1], out=g[0])
-        np.subtract(w[0], w[-2], out=g[-1])
-        g /= 2.0 * h
-    gx *= gx
-    gy *= gy
-    gx += gy
-    gx *= kappa
-    density = gibbs(v)
-    density += gx
+    density, g = np.empty_like(v), np.empty_like(v)
+    # d[i] = (w[i+1] - w[i]) / h along the first axis of each view
+    for d, w in ((density.T, v.T), (g, v)):
+        np.subtract(w[1:], w[:-1], out=d[:-1])
+        np.subtract(w[0], w[-1], out=d[-1])
+        d /= h
+    density *= density
+    g *= g
+    density += g
+    density *= kappa
+    density += gibbs(v)
     return float(density.sum() * h * h)

@@ -432,6 +432,45 @@ def test_close_snapshot_times_get_distinct_files(tmp_path):
     assert [float(line.split(",")[0]) for line in lines] == [0.0, 0.01, 0.01000001]
 
 
+@pytest.mark.parametrize("times", ["-0, 1", "-0, 0"])
+def test_negative_zero_snapshot_time_gives_the_bytes_of_zero(tmp_path, times):
+    # -0 == 0, so the config must give the files of its 0 spelling: no
+    # snap_t-0.csv beside or instead of snap_t0.csv, and a report time of 0.0
+    outs = []
+    for i, text in enumerate([times, times.replace("-0", "0")]):
+        ini = tmp_path / f"run{i}.ini"
+        ini.write_text(f"[grid]\nnx = 8\nny = 8\n[solver]\nsnapshot_times = {text}\n")
+        out = tmp_path / f"out{i}"
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
+        assert cli.main(["analyze", "--in", str(out), "--out", str(out)]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outs[0] == outs[1]
+    assert "snap_t-0.csv" not in outs[0]
+    assert outs[0]["report.csv"].splitlines()[1].startswith(b"0.0,")
+
+
+def test_snapshot_file_named_negative_zero_reports_time_zero(tmp_path):
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    field = ScalarField2D(GridSpec(8, 8), np.random.default_rng(3).uniform(0, 1, (8, 8)))
+    write_snapshot_csv(field, snaps / "snap_t-0.csv")
+    for i, path in enumerate([snaps / "snap_t-0.csv", snaps]):
+        out = tmp_path / f"out{i}"
+        assert cli.main(["analyze", "--in", str(path), "--out", str(out)]) == 0
+        assert (out / "report.csv").read_text().splitlines()[1].startswith("0.0,")
+
+
+def test_grid_too_large_to_allocate_is_data_error(tmp_path, capsys):
+    # 10^18 cells of 8 bytes: the 6.9 EiB request fails in malloc at once,
+    # before any step runs or any file is written
+    ini = tmp_path / "huge.ini"
+    ini.write_text("[grid]\nnx = 1000000000\nny = 1000000000\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 2
+    assert "spinodalkit simulate: Unable to allocate" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("text", ["[grid]\nh = inf\n", "[solver]\nsnapshot_times = 0, inf\n"],
                          ids=["h", "snapshot_times"])
 def test_non_finite_config_value_is_data_error(tmp_path, capsys, text):
@@ -807,6 +846,7 @@ def test_fit_sigma_command(tmp_path, capsys):
     body = (tmp_path / "fit_sigma.csv").read_text()
     assert body.startswith("window,abscissa,slope,intercept,r_squared\n")
     assert "high_T,T,0.12" in body
+    assert "high-T window (100.0, 300.0): sigma = 0.12*T + 40" in capsys.readouterr().out
 
     sparse = tmp_path / "sparse.csv"
     sparse.write_text("T_K,sigma\n150,1\n200,1\n250,1\n300,1\n")

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -33,13 +34,22 @@ def test_params_validation():
         SolverParams(n_steps=-1)
     with pytest.raises(ValueError):
         SolverParams(diag_stride=0)
-    with pytest.raises(ValueError):
-        SolverParams(snapshot_times=(-1.0,))
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="snapshot times must be non-negative"):
+            SolverParams(snapshot_times=(bad, 1.0))
+    # a nan or inf coefficient is refused here, not reported as divergence
+    for bad in (math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(ValueError, match="D and kappa must be finite and > 0"):
+            SolverParams(dt=0.005, D=bad)
+        with pytest.raises(ValueError, match="D and kappa must be finite and > 0"):
+            SolverParams(dt=0.005, kappa=bad)
 
 
 def test_snapshot_times_are_normalized_sorted():
     p = SolverParams(snapshot_times=(5.0, 1.0, 3.0))
     assert p.snapshot_times == (1.0, 3.0, 5.0)
+    zero = SolverParams(snapshot_times=(-0.0, 1)).snapshot_times[0]
+    assert math.copysign(1.0, zero) == 1.0
 
 
 def test_dt_above_ceiling_is_rejected():
@@ -254,18 +264,19 @@ def test_step_calls_go_through_the_module_attributes(monkeypatch):
 
 # sha256 of every `simulate` output as computed with the np.roll Laplacian
 # and the allocating step: any change in the order of floating-point
-# operations shows here.
+# operations shows here.  The diagnostics.csv hashes carry the
+# forward-difference free energy (the functional whose gradient is h^2 mu).
 GOLDEN = {
     "[grid]\nnx = 32\nny = 24\nh = 1.3\n[init]\nseed = 11\n"
     "[solver]\nsnapshot_times = 0, 2, 5\ndiag_stride = 50\n": {
-        "diagnostics.csv": "a89dfb1f2083f431cdacb334df0d5222f57ff7342ca51cb99bf7ff852b69e561",
+        "diagnostics.csv": "c4c078e8a2c2d9668204d7162da42ed2949e9ff3e6684c3a25b1f3d761bec992",
         "snap_t0.csv": "2b5d77461e81bd99ee7091c8b13cc280df85f4f584073d952f0009d8e629c13f",
         "snap_t2.csv": "571fdcebe2b1c120bc5938e3b24699d864fadbd9d27568e019d9eddf9a50ef0a",
         "snap_t5.csv": "d6db8ce224a1b3d9152f8783e5c57e8a89923ca5dceabb6a484ea520f1e1657c",
     },
     "[grid]\nnx = 16\nny = 16\n[init]\nseed = 3\n"
     "[solver]\nsnapshot_times = 0, 1, 3\ndiag_stride = 100\n": {
-        "diagnostics.csv": "2a60b3eebde1329b04905c4fdea6dcb330d86685a5e70b58078e12402ee4131d",
+        "diagnostics.csv": "85e5b00b49a30d55b20cb1453fa969930961c967ff755b23ff8fbeb2f6c60933",
         "snap_t0.csv": "f11567fe9b77dd5ef07fa41ac5fb9ac65f84a8599d7781fd38574d13aa586ba7",
         "snap_t1.csv": "d0fa5348384ff5ca627b57cc1f590d45cdba780928ca9372f19650c3c7f8741e",
         "snap_t3.csv": "ed2f0025edda07b82b8f1b9ad6993c8daff08dd0a41e997a204ad4ba512a41b7",

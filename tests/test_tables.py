@@ -283,8 +283,8 @@ def test_writers_match_their_former_f_strings(tmp_path, monkeypatch):
     assert (tmp_path / "fit.csv").read_text() == ref
 
     hi, lo = LinearFit(a, b, c), LinearFit(d, e, f)
-    monkeypatch.setattr(fitting, "fit_conductivity_regimes", lambda T, s: ConductivityRegimes(
-        hi, lo, (100.0, 300.0), (10.0, 60.0)))
+    monkeypatch.setattr(fitting, "fit_conductivity_regimes",
+                        lambda T, s: ConductivityRegimes(hi, lo))
     trace = tmp_path / "sigma.csv"
     trace.write_text("T_K,sigma\n10,1\n")
     assert cli.main(["fit-sigma", "--in", str(trace), "--out", str(tmp_path / "o")]) == 0
