@@ -115,9 +115,11 @@ _SCHEMA = {
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate; an empty document yields the full default config."""
+    """Parse and validate; an empty document yields the full default config.
+    A key given twice is an error, not an override."""
     cfg = RunConfig()
     section: str | None = None
+    set_on: dict[str, int] = {}   # key -> the line that set it
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(("#", ";")):
@@ -140,6 +142,10 @@ def parse_config(text: str) -> RunConfig:
         entry = _SCHEMA[section].get(key)
         if entry is None:
             raise ConfigError(f"unknown key '{section}.{key}'", ln)
+        if key in set_on:
+            raise ConfigError(f"'{section}.{key}' is set twice, on lines "
+                              f"{set_on[key]} and {ln}", ln)
+        set_on[key] = ln
         parse, check, constraint = entry
         try:
             parsed = parse(value)

@@ -164,23 +164,15 @@ def snapshot_time(path) -> float | None:
     return t + 0.0   # snap_t-0.csv names time 0.0, not -0.0
 
 
-def write_snapshot_csv(f: ScalarField2D, path) -> None:
-    """Snapshot format: header line `nx,ny,h`, then ny rows of nx values.
-
-    Values are written with shortest round-trip repr so read back is
-    bit-identical.  The file is written under a temporary name in the same
-    directory, `<path>.<pid>.tmp`, and renamed onto `path` once complete,
-    so `path` is never left truncated; on any error the temporary file is
-    removed.
-    """
-    spec = f.spec
+def _write_whole(path, chunks) -> None:
+    """Write `chunks`, an iterable of bytes, to `path` whole or not at all:
+    they stream to `<path>.<pid>.tmp` beside it, renamed onto `path` once
+    complete and removed on any error, so `path` keeps its old content until
+    the new one is whole.  The package opens no file for writing elsewhere."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(f"{spec.nx},{spec.ny},{float(spec.h)!r}\n")
-            for row in f.values.tolist():
-                fh.write(",".join(map(repr, row)))
-                fh.write("\n")
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -190,10 +182,35 @@ def write_snapshot_csv(f: ScalarField2D, path) -> None:
         raise
 
 
+def _csv_lines(header: str, rows, cell):
+    """UTF-8 lines, `\\n`-ended: `header`, then each row's cells by `cell`."""
+    yield f"{header}\n".encode()
+    for row in rows:
+        yield f"{','.join(map(cell, row))}\n".encode()
+
+
+def _loadtxt(fh) -> np.ndarray:
+    """The rest of `fh` as a 2-D float64 array, by numpy's C reader with
+    float()'s rounding.  No max_rows, so a header declaring a huge grid
+    fails on its short file, not in malloc."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty body: callers check the shape
+        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+
+
+def write_snapshot_csv(f: ScalarField2D, path) -> None:
+    """Snapshot format: header line `nx,ny,h`, then ny rows of nx values
+    by shortest round-trip repr, so read back is bit-identical; written
+    whole or not at all (`_write_whole`)."""
+    spec = f.spec
+    _write_whole(path, _csv_lines(f"{spec.nx},{spec.ny},{float(spec.h)!r}",
+                                  f.values.tolist(), repr))
+
+
 def read_snapshot_csv(path) -> ScalarField2D:
     """Read a snapshot written by write_snapshot_csv: the body must hold
     exactly ny rows of nx finite values (no fewer, no more)."""
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         try:
             nx, ny, h = header.split(",")
@@ -201,11 +218,7 @@ def read_snapshot_csv(path) -> ScalarField2D:
         except ValueError as exc:
             raise DataFormatError(f"{path}: malformed snapshot header {header!r}: {exc}") from exc
         try:
-            # no max_rows: the body is never preallocated from the header, so
-            # a header declaring a huge grid fails on its short file, not in malloc
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # an empty body fails the shape check
-                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            values = _loadtxt(fh)
             if values.shape != (spec.ny, spec.nx):
                 raise ValueError(f"expected {spec.ny} rows of {spec.nx} values, "
                                  f"got {values.shape[0]} rows of {values.shape[1]}")
@@ -224,11 +237,35 @@ def _table_reader(path, fh, header: str):
     return reader
 
 
-def _table_rows(path, header: str, text: int, record) -> list:
-    """read_table_csv's row loop: every row parsed and checked in Python."""
+def _table_columns(path, header: str) -> np.ndarray:
+    """The columns of an all-numeric table, as a C-contiguous float64 array
+    of shape (columns, rows), under read_table_csv's rules.  The C parse
+    (`_loadtxt`) is kept only when it has at least one row of exactly the
+    header's fields, all finite; anything else (a fault, or a form only
+    float() reads, such as `1_000` or a quoted field) is parsed again by
+    read_table_csv, which names the faulty line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        _table_reader(path, fh, header)
+        try:
+            values = _loadtxt(fh)
+        except ValueError:
+            values = None
+    if (values is None or values.shape[0] == 0
+            or values.shape[1] != header.count(",") + 1 or not np.isfinite(values).all()):
+        values = np.array(read_table_csv(path, header))
+    return values.T.copy()
+
+
+def read_table_csv(path, header: str, text: int = 0, record=None) -> list:
+    """Rows of a table CSV.  The first line must be `header` (spaces around
+    names aside) and blank lines are skipped; every other row has exactly
+    the header's fields, the first `text` kept as stripped strings and the
+    rest finite floats.  A row is the tuple of its fields, or
+    `record(*fields)`.  Any fault, a ValueError from `record` too, is a
+    DataFormatError naming `path:line`; so is a file without data rows."""
     names = header.split(",")
     rows = []
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = _table_reader(path, fh, header)
         for row in reader:
             if not row:
@@ -249,46 +286,10 @@ def _table_rows(path, header: str, text: int, record) -> list:
     return rows
 
 
-def _table_columns(path, header: str) -> np.ndarray:
-    """The columns of an all-numeric table, as a C-contiguous float64 array
-    of shape (columns, rows), under read_table_csv's rules.
-
-    numpy's C reader parses the body with the same correctly rounded
-    conversion as float().  Its result is kept only when it has at least
-    one row of exactly the header's fields, all finite; anything else (a
-    fault, or a form only float() reads, such as `1_000` or a quoted
-    field) is parsed again by the row loop, which names the faulty line.
-    """
-    with open(path, "r", newline="") as fh:
-        _table_reader(path, fh, header)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # an empty body falls back
-                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            values = None
-    if (values is None or values.shape[0] == 0
-            or values.shape[1] != header.count(",") + 1 or not np.isfinite(values).all()):
-        values = np.array(_table_rows(path, header, 0, None))
-    return values.T.copy()
-
-
-def read_table_csv(path, header: str, text: int = 0, record=None) -> list:
-    """Rows of a table CSV.  The first line must be `header` (spaces around
-    names aside) and blank lines are skipped; every other row has exactly
-    the header's fields, the first `text` kept as stripped strings and the
-    rest finite floats.  A row is the tuple of its fields, or
-    `record(*fields)`.  Any fault, a ValueError from `record` too, is a
-    DataFormatError naming `path:line`; so is a file without data rows.
-    An all-numeric table (`text` 0, no `record`) is parsed in C first, with
-    the same result."""
-    if text == 0 and record is None:
-        return list(zip(*_table_columns(path, header).tolist()))
-    return _table_rows(path, header, text, record)
-
-
 def _table_cell(v) -> str:
     if isinstance(v, str):
+        if re.search(r'[,"\r\n]', v):  # csv's minimal quoting, quotes doubled
+            return '"' + v.replace('"', '""') + '"'
         return v
     if isinstance(v, (int, np.integer, np.bool_)):  # bool is an int
         return str(int(v))
@@ -296,14 +297,10 @@ def _table_cell(v) -> str:
 
 
 def write_table_csv(path, header: str, rows) -> None:
-    """A report CSV: `header`, then one line per row of `rows`.
-
-    Strings are written unchanged, ints and bools as integers, and every
-    other value as repr(float(x)), the shortest text that reads back to the
-    same double (a numpy scalar prints as a plain float).  ASCII text with
-    `\\n` line ends.
-    """
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(_table_cell, row)) + "\n")
+    """A report CSV: `header`, then one line per row of `rows`, written
+    whole or not at all (`_write_whole`).  Strings are written as is, but
+    quoted as csv does when they hold `,`, `"` or a line break; ints and
+    bools as integers, and every other value as repr(float(x)), the
+    shortest text that reads back to the same double (a numpy scalar
+    prints as a plain float)."""
+    _write_whole(path, _csv_lines(header, rows, _table_cell))

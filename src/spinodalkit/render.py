@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import ScalarField2D
+from .fields import ScalarField2D, _write_whole
 
 __all__ = ["render_ppm"]
 
 
 def render_ppm(f: ScalarField2D, path) -> None:
+    """The image of `f`, written whole or not at all (`_write_whole`)."""
     x = np.clip(f.values, 0.0, 1.0)
-    green = np.floor(255.0 * x + 0.5).astype(np.uint8)
-    red = np.floor(255.0 * (1.0 - x) + 0.5).astype(np.uint8)
     pixels = np.zeros((f.spec.ny, f.spec.nx, 3), dtype=np.uint8)
-    pixels[..., 0] = red
-    pixels[..., 1] = green
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{f.spec.nx} {f.spec.ny}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+    pixels[..., 0] = np.floor(255.0 * (1.0 - x) + 0.5)
+    pixels[..., 1] = np.floor(255.0 * x + 0.5)
+    _write_whole(path, [f"P6\n{f.spec.nx} {f.spec.ny}\n255\n".encode("ascii"),
+                        pixels.tobytes()])

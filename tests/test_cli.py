@@ -460,6 +460,20 @@ def test_snapshot_file_named_negative_zero_reports_time_zero(tmp_path):
         assert (out / "report.csv").read_text().splitlines()[1].startswith("0.0,")
 
 
+@pytest.mark.parametrize("command", ["analyze", "render"])
+def test_leftover_temporary_snapshot_is_ignored(tmp_path, command):
+    # what a write killed by SIGKILL leaves beside the snapshot it was writing
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    field = ScalarField2D(GridSpec(8, 8), np.random.default_rng(3).uniform(0, 1, (8, 8)))
+    write_snapshot_csv(field, snaps / "snap_t1.csv")
+    (snaps / "snap_t2.csv.4242.tmp").write_text("8,8,1.0\n0.5,0.5\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--in", str(snaps), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == (
+        ["report.csv"] if command == "analyze" else ["snap_t1.ppm"])
+
+
 def test_grid_too_large_to_allocate_is_data_error(tmp_path, capsys):
     # 10^18 cells of 8 bytes: the 6.9 EiB request fails in malloc at once,
     # before any step runs or any file is written

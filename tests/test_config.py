@@ -71,6 +71,7 @@ def test_snapshot_times_are_sorted():
     ("[solver]\ndt = -1\n", 2),
     ("[solver]\nsnapshot_times = ,\n", 2),
     ("[analysis]\nx_c = 0\n", 2),
+    ("[solver]\ndt = 0.001\n[grid]\nnx = 8\n[solver]\ndt = auto\n", 6),
 ])
 def test_rejects_with_line_number(text, lineno):
     with pytest.raises(ConfigError) as info:

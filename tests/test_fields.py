@@ -1,10 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spinodalkit import fields, render
+from spinodalkit.analysis import AnalysisRow, write_report_csv
 from spinodalkit.fields import (DataFormatError, GridSpec, ScalarField2D,
                                 _laplacian_values, gaussian_field,
                                 read_snapshot_csv, write_snapshot_csv)
+from spinodalkit.solver import DiagnosticsRecord, write_diagnostics_csv
 
 
 def test_grid_spec_rejects_small_grids():
@@ -240,3 +245,53 @@ def test_failed_snapshot_write_leaves_no_partial_file(tmp_path, monkeypatch, exc
         write_snapshot_csv(f, tmp_path / "snap_t0.csv")
     assert [p.name for p in tmp_path.iterdir()] == ["snap_t0.csv"]
     assert (tmp_path / "snap_t0.csv").read_bytes() == before
+
+
+# the writers besides the snapshot one, each called with a version number
+# k that changes what it writes
+WRITERS = {
+    "report": lambda p, k: write_report_csv(p, [AnalysisRow(
+        time=k, char_length=1.5, ti_fraction=0.5, n_clusters=3, largest_cluster=12,
+        spans_x=True, spans_y=False, R_eff_x=1.0, R_eff_y=2.0)] * 4),
+    "diagnostics": lambda p, k: write_diagnostics_csv(p, [DiagnosticsRecord(
+        step=k, time=0.5, mass=0.48, free_energy=-1.0, min=0.0, max=1.0)] * 4),
+    "ppm": lambda p, k: render.render_ppm(
+        gaussian_field(GridSpec(8, 8), 0.5, 0.1, seed=k), p),
+}
+
+
+@pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt()],
+                         ids=["os_error", "interrupt"])
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_failed_report_or_image_write_leaves_no_partial_file(tmp_path, monkeypatch, writer, exc):
+    write, dest = WRITERS[writer], tmp_path / "out"
+    whole = fields._write_whole
+
+    def fail_after_first_chunk(path, chunks):
+        def stream():
+            it = iter(chunks)
+            yield next(it)
+            # the temporary file is open beside the destination
+            assert f"out.{os.getpid()}.tmp" in [p.name for p in tmp_path.iterdir()]
+            raise exc
+        whole(path, stream())
+
+    def failing():
+        for module in (fields, render):
+            monkeypatch.setattr(module, "_write_whole", fail_after_first_chunk)
+    failing()
+    with pytest.raises(type(exc)):
+        write(dest, 1)
+    assert list(tmp_path.iterdir()) == []
+    # a failed rewrite keeps the complete file that was there
+    monkeypatch.undo()
+    write(dest, 2)
+    before = dest.read_bytes()
+    write(dest, 3)
+    assert dest.read_bytes() != before
+    write(dest, 2)
+    failing()
+    with pytest.raises(type(exc)):
+        write(dest, 3)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert dest.read_bytes() == before

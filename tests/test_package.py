@@ -84,3 +84,47 @@ def test_readme_command_flags_are_options_of_their_subcommand():
                for flag in re.findall(r"--[\w-]+", " ".join(words[2:]))
                if flag not in subcommands[words[1]]._option_string_actions]
     assert len(lines) == 8 and unknown == []
+
+
+def _calls_by_function(path):
+    """(enclosing function, call node) for every call in a module."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                yield scope, child
+            yield from walk(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+    return walk(ast.parse(path.read_text()), "<module>")
+
+
+def _opens_for_writing(call) -> bool:
+    func = call.func
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    # open(file, mode), io.open(file, mode) and os.open(path, flags), but
+    # Path.open(mode)
+    method = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) not in ("io", "os")
+    args = call.args if method else call.args[1:]
+    mode = args[0] if args else next(
+        (k.value for k in call.keywords if k.arg in ("mode", "flags")), None)
+    # a mode that is not a literal (os.open's flags among them) counts as writing
+    return mode is not None and not (isinstance(mode, ast.Constant)
+                                     and not set(str(mode.value)) & set("wax+"))
+
+
+def test_one_writer_and_one_body_parser():
+    # every output is written whole or not at all by fields._write_whole,
+    # and every numeric body is parsed by the one np.loadtxt in fields._loadtxt
+    writes, loads = [], []
+    for path in sorted((ROOT / "src" / "spinodalkit").glob("*.py")):
+        for scope, call in _calls_by_function(path):
+            where = (path.name, scope)
+            if _opens_for_writing(call):
+                writes.append(where)
+            if getattr(call.func, "attr", None) == "loadtxt":
+                loads.append(where)
+    assert writes == [("fields.py", "_write_whole")]
+    assert loads == [("fields.py", "_loadtxt")]

@@ -1,6 +1,7 @@
 """The shared table CSV reader and report writer, through every public
 reader and writer built on them."""
 
+import csv
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 from spinodalkit import cli, fields, fitting
 from spinodalkit.analysis import AnalysisRow, write_report_csv
-from spinodalkit.fields import (DataFormatError, _table_columns, _table_rows,
-                                read_table_csv, write_table_csv)
+from spinodalkit.fields import (DataFormatError, _table_columns, read_table_csv,
+                                write_table_csv)
 from spinodalkit.fitting import (ConductivityRegimes, FitResult, LinearFit,
                                  read_s21_csv, read_xy_csv, write_fit_csv)
 from spinodalkit.solver import DiagnosticsRecord, write_diagnostics_csv
@@ -167,7 +168,7 @@ NUMERIC_READERS = {
     "xy": ("T_K,muH_T", lambda p: read_xy_csv(p, ("T_K", "muH_T")), lambda c: (c[0], c[1])),
     "rt": ("T_K,R_ohm", read_rt_csv, lambda c: (c[0], c[1])),
     "s21": ("f_Hz,re_S21,im_S21", read_s21_csv, lambda c: (c[0], c[1] + 1j * c[2])),
-    "one_column": ("x", lambda p: [np.array(read_table_csv(p, "x")).T.copy()], lambda c: [c]),
+    "one_column": ("x", lambda p: [_table_columns(p, "x")], lambda c: [c]),
 }
 
 
@@ -183,24 +184,22 @@ def _outcome(call):
 @pytest.mark.parametrize("reader", list(NUMERIC_READERS))
 def test_numeric_readers_give_the_row_loops_result(tmp_path, monkeypatch, reader):
     header, read, columns = NUMERIC_READERS[reader]
-    loop = fields._table_rows
+    loop = fields.read_table_csv
     fallbacks = []
-    monkeypatch.setattr(fields, "_table_rows", lambda *a: fallbacks.append(1) or loop(*a))
+    monkeypatch.setattr(fields, "read_table_csv", lambda *a: fallbacks.append(1) or loop(*a))
     looped = set()
     p = tmp_path / "t.csv"
     for name, text in _corpus(header):
         p.write_text(text, encoding="utf-8", newline="")
 
         def oracle():
-            return np.array(loop(p, header, 0, None))
+            return np.array(loop(p, header))
         before = len(fallbacks)
         assert _outcome(lambda: read(p)) == _outcome(lambda: columns(oracle().T.copy())), name
         if len(fallbacks) > before:
             looped.add(name)
         assert _outcome(lambda: [_table_columns(p, header)]) == _outcome(
             lambda: [oracle().T.copy()]), name
-        assert _outcome(lambda: [np.array(read_table_csv(p, header))]) == _outcome(
-            lambda: [oracle()]), name
     assert not looped & FAST_CASES
     assert {"odd_'1_000'", "odd_'\"1.0\"'", "trailing_comma", "odd_last_'nan'"} <= looped
     assert 0 < len({name for name in looped if name.startswith("mix")}) < 150
@@ -217,7 +216,7 @@ def test_plain_numeric_trace_is_parsed_without_the_row_loop(tmp_path, monkeypatc
 
     def no_loop(*args):
         raise AssertionError("the row loop ran on a plain trace")
-    monkeypatch.setattr(fields, "_table_rows", no_loop)
+    monkeypatch.setattr(fields, "read_table_csv", no_loop)
     assert [a.tobytes() for a in read(p)] == [b.tobytes() for b in want]
     p.write_text(header + "\n" + ",".join(["1_000"] * n) + "\n")
     with pytest.raises(AssertionError, match="row loop"):
@@ -241,6 +240,50 @@ def test_write_table_csv_formats_each_type(tmp_path):
     assert p.read_bytes() == (b"a,b,c,d,e,f,g,h,i,j,k\n"
                               b"label,1,0,1,7,-3,-0.0,5e-324,1e+16,1e-05,0.5\n"
                               b",,,,0,0,0.0,0.0,0.0,0.0,0.25\n")
+
+
+LABELS = ["tan", "tan, run 2", 'say "hi"', '"', "two\nlines", "cr\rlf", "TiAlN-\u03b1", ""]
+
+
+def test_written_labels_read_back_unchanged(tmp_path):
+    p = tmp_path / "t.csv"
+    write_table_csv(p, "label,x", [(label, 1.0) for label in LABELS])
+    assert read_table_csv(p, "label,x", text=1) == [(label, 1.0) for label in LABELS]
+    # csv's minimal quoting: only labels holding a comma, quote or line
+    # break are quoted, so every other label keeps its bytes
+    lines = p.read_bytes().decode("utf-8").split("\n")
+    assert lines[1:4] == ["tan,1.0", '"tan, run 2",1.0', '"say ""hi""",1.0']
+
+
+def test_transport_report_keeps_awkward_labels(tmp_path):
+    films = tmp_path / "films.csv"
+    films.write_text("label,d_m,Rs_ohm_sq,Tc_K,hall_slope_ohm_per_T\n" + "".join(
+        '"' + label.replace('"', '""') + '",1e-07,132.3,3.2,0.0039\n'
+        for label in LABELS), encoding="utf-8")
+    assert cli.main(["transport", "--in", str(films), "--out", str(tmp_path)]) == 0
+    report = tmp_path / "transport_report.csv"
+    with open(report, encoding="utf-8", newline="") as fh:
+        assert [len(row) for row in csv.reader(fh)] == [8] * (len(LABELS) + 1)
+    header = "label,d_m,Tc_K,Rs_ohm_sq,n_e_m3,Lk_H_sq,l_m,kF_l"
+    assert [r[0] for r in read_table_csv(report, header, text=1)] == LABELS
+
+
+def test_failed_report_write_is_data_error_leaving_no_report(tmp_path, monkeypatch, capsys):
+    films = tmp_path / "films.csv"
+    films.write_text("label,d_m,Rs_ohm_sq,Tc_K,hall_slope_ohm_per_T\n"
+                     "tan,1e-07,132.3,3.2,0.0039\ntin,1e-07,8.5,3.8,0.0014\n")
+    whole = fields._write_whole
+
+    def disk_full_after_first_line(path, chunks):
+        def stream():
+            yield next(iter(chunks))
+            raise OSError("No space left on device")
+        whole(path, stream())
+    monkeypatch.setattr(fields, "_write_whole", disk_full_after_first_line)
+    out = tmp_path / "out"
+    assert cli.main(["transport", "--in", str(films), "--out", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_writers_match_their_former_f_strings(tmp_path, monkeypatch):
