@@ -4,19 +4,20 @@ Four families of diagnostics:
 
 * spectral — a characteristic domain length from the first moment of the
   power spectrum (numpy FFT; any grid size);
-* clustering — connected components of a thresholded phase map under
+* clustering — connected components of a 2-D boolean phase mask under
   4-connectivity (scipy.ndimage.label), with spanning tests;
 * percolation — a Monte Carlo site-percolation threshold estimate from the
   exact spanning onset of each trial;
-* transport — effective sheet resistance of the composite from an exact
-  Kirchhoff solve with harmonic-mean bond conductances, by column-by-column
-  elimination at O(nx*ny^3) time and O(ny^2) memory; each column's block
-  is inverted by a recursive 2x2 Schur-complement split whose work is
-  matmul (_spd_inverse).
+* transport — effective sheet resistance of a 2-D array of per-cell
+  conductivities from an exact Kirchhoff solve with harmonic-mean bond
+  conductances, by column-by-column elimination at O(nx*ny^3) time and
+  O(ny^2) memory; each column's block is inverted by a recursive 2x2
+  Schur-complement split whose work is matmul (_spd_inverse).
 
-analyze_fields reports all four for a batch of snapshots; its R_eff solves,
-one per snapshot and axis, are swept in stacks of same-shape maps, and the
-stacks can run on a thread pool.
+analyze_fields reports all four for a batch of ScalarField2D snapshots,
+from each one's Ti-rich mask x >= x_c and its two-valued conductivity
+array; its R_eff solves, one per snapshot and axis, are swept in stacks of
+same-shape maps, and the stacks can run on a thread pool.
 
 Clustering and spanning use non-periodic boundaries (electrodes break
 periodicity) even though the underlying composition field is periodic;
@@ -26,18 +27,16 @@ the mismatch is deliberate and only affects edge-touching clusters.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .fields import GridSpec, NumericalFailure, ScalarField2D, write_table_csv
+from .fields import NumericalFailure, ScalarField2D, write_table_csv
 
 __all__ = [
     "NoStructureError",
     "LinearSolveError",
-    "PhaseMap",
     "ClusterLabeling",
-    "ConductivityMap",
     "AnalysisRow",
     "characteristic_length",
     "label_clusters",
@@ -49,10 +48,6 @@ __all__ = [
     "write_report_csv",
     "REPORT_HEADER",
 ]
-
-REPORT_HEADER = ("time,char_length,ti_fraction,n_clusters,largest_cluster,"
-                 "spans_x,spans_y,R_eff_x,R_eff_y")
-
 
 class NoStructureError(ValueError, NumericalFailure):
     """The field is constant; no length scale can be extracted."""
@@ -88,31 +83,16 @@ def characteristic_length(f: ScalarField2D) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Phase maps and cluster labeling
+# Cluster labeling and spanning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhaseMap:
-    """Per-cell phase tags from thresholding a composition field at x_c
-    (cells with x >= x_c are Ti-rich)."""
-
-    spec: GridSpec
-    ti_rich: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.ti_rich, dtype=bool)
-        if m.shape != (self.spec.ny, self.spec.nx):
-            raise ValueError(f"mask shape {m.shape} does not match grid "
-                             f"({self.spec.ny}, {self.spec.nx})")
-        object.__setattr__(self, "ti_rich", m)
-
-    @classmethod
-    def from_field(cls, f: ScalarField2D, x_c: float = 0.5) -> "PhaseMap":
-        return cls(spec=f.spec, ti_rich=f.values >= x_c)
-
-    def fraction(self) -> float:
-        """The Ti-rich fraction of the cells."""
-        return float(self.ti_rich.mean())
+def _grid_array(a, dtype) -> np.ndarray:
+    """a as an array of dtype; it must be 2-D with a cell on each axis."""
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim != 2 or 0 in a.shape:
+        raise ValueError(f"expected a 2-D array with at least one cell on "
+                         f"each axis, got shape {a.shape}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -131,28 +111,32 @@ class ClusterLabeling:
         return int(self.sizes.max()) if self.sizes.size else 0
 
 
-def label_clusters(pmap: PhaseMap) -> ClusterLabeling:
-    """Connected components of the Ti-rich cells under 4-connectivity
-    (non-periodic).  Every Ti-rich cell gets exactly one positive label;
-    sizes sum to the Ti-rich cell count."""
+def label_clusters(mask: np.ndarray) -> ClusterLabeling:
+    """Connected components of the True cells of a 2-D boolean mask under
+    4-connectivity (non-periodic).  Every True cell gets exactly one
+    positive label; sizes sum to the True cell count."""
     # scipy.ndimage is imported on first use: it adds ~60 ms (~15%) to the
     # CLI's start-up, which every subcommand pays, while only analysis needs it
     from scipy import ndimage
-    labels = ndimage.label(pmap.ti_rich)[0]
+    labels = ndimage.label(_grid_array(mask, bool))[0]
     return ClusterLabeling(labels=labels, sizes=np.bincount(labels.ravel())[1:])
+
+
+def _oriented(a: np.ndarray, axis: str) -> np.ndarray:
+    """a 2-D grid array with `axis` along its rows, so columns 0 and -1 are
+    the two edges the axis joins (the y axis is transposed)."""
+    if axis == "x":
+        return a
+    if axis == "y":
+        return a.T
+    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
 def spans(labeling: ClusterLabeling, axis: str) -> bool:
     """True iff some single cluster touches both opposite edges along axis
     ('x': left and right columns; 'y': top and bottom rows)."""
-    labels = labeling.labels
-    if axis == "x":
-        first, last = labels[:, 0], labels[:, -1]
-    elif axis == "y":
-        first, last = labels[0, :], labels[-1, :]
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    common = np.intersect1d(first, last)
+    labels = _oriented(labeling.labels, axis)
+    common = np.intersect1d(labels[:, 0], labels[:, -1])
     return bool((common > 0).any())
 
 
@@ -257,29 +241,10 @@ def percolation_threshold_mc(L: int, trials: int, seed: int) -> tuple[float, flo
 # Effective sheet resistance (random resistor network)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConductivityMap:
-    """Per-cell conductivities (arbitrary conductance units), all > 0."""
-
-    spec: GridSpec
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        s = np.ascontiguousarray(np.asarray(self.sigma, dtype=np.float64))
-        if s.shape != (self.spec.ny, self.spec.nx):
-            raise ValueError(f"sigma shape {s.shape} does not match grid "
-                             f"({self.spec.ny}, {self.spec.nx})")
-        if not np.isfinite(s).all() or (s <= 0).any():
-            raise ValueError("all conductivities must be positive and finite")
-        object.__setattr__(self, "sigma", s)
-
-    @classmethod
-    def from_phase_map(cls, pmap: PhaseMap, sigma_ti: float = 1.0,
-                       sigma_al: float = 1e-4) -> "ConductivityMap":
-        """Two-phase contrast map; the poorly conducting phase keeps a small
-        positive floor so the linear system stays nonsingular."""
-        sigma = np.where(pmap.ti_rich, float(sigma_ti), float(sigma_al))
-        return cls(spec=pmap.spec, sigma=sigma)
+def _positive_finite(sigma: np.ndarray) -> np.ndarray:
+    if not (np.isfinite(sigma) & (sigma > 0)).all():
+        raise ValueError("all conductivities must be positive and finite")
+    return sigma
 
 
 def _bond_conductances(s: np.ndarray):
@@ -291,15 +256,6 @@ def _bond_conductances(s: np.ndarray):
     gl = 2.0 * s[..., 0]
     gr = 2.0 * s[..., -1]
     return gh, gv, gl, gr
-
-
-def _oriented(c: ConductivityMap, axis: str) -> np.ndarray:
-    """sigma with the driven axis along columns (the y axis is transposed)."""
-    if axis == "x":
-        return c.sigma
-    if axis == "y":
-        return c.sigma.T
-    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
 # Blocks up to this order are inverted by np.linalg.inv; larger ones are
@@ -414,9 +370,9 @@ def _sheet_resistances(s: np.ndarray) -> np.ndarray:
     return np.concatenate([_sheet_resistances(s[i:i + 1]) for i in range(k)])
 
 
-def effective_sheet_resistance(c: ConductivityMap, axis: str) -> float:
-    """Sheet resistance (per square) for current driven along `axis` with
-    unit potential difference across the opposing edges.
+def effective_sheet_resistance(sigma: np.ndarray, axis: str) -> float:
+    """Sheet resistance (per square) of `sigma`, a 2-D array of positive
+    finite conductivities, between electrodes on the edges `axis` joins.
 
     Bond conductances are harmonic means of adjacent cell sigma; electrode
     coupling uses the half-cell bond 2*sigma so a uniform map gives exactly
@@ -425,7 +381,8 @@ def effective_sheet_resistance(c: ConductivityMap, axis: str) -> float:
     carries no usable current: a singular block, or a current that is not
     finite and positive.
     """
-    return float(_sheet_resistances(_oriented(c, axis)[None])[0])
+    s = _positive_finite(_grid_array(sigma, np.float64))
+    return float(_sheet_resistances(_oriented(s, axis)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +400,9 @@ class AnalysisRow:
     spans_y: bool
     R_eff_x: float
     R_eff_y: float
+
+
+REPORT_HEADER = ",".join(f.name for f in fields(AnalysisRow))
 
 
 # Entries k*ny*ny of the (k, ny, ny) elimination blocks of one stack of R_eff
@@ -487,22 +447,23 @@ def analyze_fields(items, x_c: float = 0.5, sigma_ti: float = 1.0,
     """
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
-    rows, cmaps = [], []
+    _positive_finite(np.array([sigma_ti, sigma_al], dtype=np.float64))
+    rows, sigmas = [], []
     for time, f in items:
-        pmap = PhaseMap.from_field(f, x_c)
-        labeling = label_clusters(pmap)
+        ti_rich = f.values >= x_c
+        labeling = label_clusters(ti_rich)
         rows.append(dict(
             time=time,
             char_length=characteristic_length(f),
-            ti_fraction=pmap.fraction(),
+            ti_fraction=float(ti_rich.mean()),
             n_clusters=labeling.n_clusters,
             largest_cluster=labeling.largest,
             spans_x=spans(labeling, "x"),
             spans_y=spans(labeling, "y"),
         ))
-        cmaps.append(ConductivityMap.from_phase_map(pmap, sigma_ti, sigma_al))
+        sigmas.append(np.where(ti_rich, float(sigma_ti), float(sigma_al)))
     # two solves per field, in the order (field 0, x), (field 0, y), (field 1, x), ...
-    oriented = [_oriented(c, axis) for c in cmaps for axis in ("x", "y")]
+    oriented = [_oriented(s, axis) for s in sigmas for axis in ("x", "y")]
     stacks = _reff_stacks([s.shape for s in oriented], threads)
 
     def solve(stack: list[int]) -> list[float]:

@@ -26,7 +26,7 @@ so `values` still holds the last stable field when the check fails.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -45,8 +45,6 @@ __all__ = [
     "run",
     "write_diagnostics_csv",
 ]
-
-DIAG_HEADER = "step,time,mass,free_energy,min,max"
 
 # Above 2**53 not every integer is a float, so neither a step's time
 # step * dt nor the step index ceil(t / dt) of a snapshot time is exact.
@@ -138,6 +136,9 @@ class DiagnosticsRecord:
     free_energy: float
     min: float
     max: float
+
+
+DIAG_HEADER = ",".join(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass

@@ -6,10 +6,10 @@ system node by node, so keep it to a few hundred cells."""
 import numpy as np
 
 
-def dense_sheet_resistance(c, axis: str) -> float:
-    """R_eff per square of ConductivityMap `c` driven along `axis`, from one
-    np.linalg.solve of the assembled nodal system."""
-    s = {"x": c.sigma, "y": c.sigma.T}[axis]
+def dense_sheet_resistance(sigma, axis: str) -> float:
+    """R_eff per square of the conductivity array `sigma` driven along
+    `axis`, from one np.linalg.solve of the assembled nodal system."""
+    s = {"x": sigma, "y": sigma.T}[axis]
     ny, nx = s.shape
     n = nx * ny
     gh = 2.0 * s[:, :-1] * s[:, 1:] / (s[:, :-1] + s[:, 1:])

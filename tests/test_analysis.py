@@ -5,9 +5,8 @@ from numpy.testing import assert_allclose
 
 from spinodalkit import analysis
 from spinodalkit.analysis import (REPORT_HEADER, ClusterLabeling,
-                                  ConductivityMap, NoStructureError, PhaseMap,
-                                  analyze_field, analyze_fields,
-                                  characteristic_length,
+                                  NoStructureError, analyze_field,
+                                  analyze_fields, characteristic_length,
                                   effective_sheet_resistance,
                                   label_clusters, percolation_threshold_mc,
                                   spans, write_report_csv)
@@ -53,24 +52,26 @@ def test_phase_map_threshold_and_fraction():
                [0.51, 0.0, 1.0, 0.3],
                [0.9, 0.499, 0.5001, 0.1],
                [0.6, 0.4, 0.8, 0.2]])
-    pm = PhaseMap.from_field(f, x_c=0.5)
     expected = np.array([[False, True, True, False],
                          [True, False, True, False],
                          [True, False, True, False],
                          [True, False, True, False]])
-    assert np.array_equal(pm.ti_rich, expected)
-    assert pm.fraction() == 0.5
+    # the Ti-rich cells are x >= x_c: 0.5 is in, 0.499 and 0.49 are out
+    row = analyze_fields([(0.0, f)], x_c=0.5)[0]
+    assert row.ti_fraction == expected.mean() == 0.5
+    assert row.n_clusters == label_clusters(expected).n_clusters
+    assert analyze_fields([(0.0, f)], x_c=0.5001)[0].ti_fraction == 7 / 16
 
 
 def test_phase_map_shape_check():
-    with pytest.raises(ValueError):
-        PhaseMap(spec=GridSpec(4, 4), ti_rich=np.zeros((3, 4), dtype=bool))
+    # label_clusters takes a 2-D mask with a cell on each axis
+    for shape in ((4,), (0, 4), (4, 0)):
+        with pytest.raises(ValueError, match="2-D array"):
+            label_clusters(np.zeros(shape, dtype=bool))
 
 
 def pmap(mask):
-    mask = np.asarray(mask, dtype=bool)
-    ny, nx = mask.shape
-    return PhaseMap(spec=GridSpec(nx, ny), ti_rich=mask)
+    return np.asarray(mask, dtype=bool)
 
 
 def test_label_clusters_trivial_cases():
@@ -336,7 +337,7 @@ def test_analyze_fields_rows_are_in_input_order(threads):
     assert [r.time for r in rows] == [0.0, 1.0, 2.0]
     for row, (t, f) in zip(rows, items):
         assert row == analyze_field(f, t, x_c=0.5, sigma_ti=2.0, sigma_al=1e-3)
-        cmap = ConductivityMap.from_phase_map(PhaseMap.from_field(f), 2.0, 1e-3)
+        cmap = np.where(f.values >= 0.5, 2.0, 1e-3)
         assert row.R_eff_x == effective_sheet_resistance(cmap, "x")
         assert row.R_eff_y == effective_sheet_resistance(cmap, "y")
 
@@ -349,7 +350,7 @@ def test_analyze_fields_stacks_same_shape_solves(threads):
              for t in range(4)]
     rows = analyze_fields(items, threads=threads)
     for row, (t, f) in zip(rows, items):
-        cmap = ConductivityMap.from_phase_map(PhaseMap.from_field(f))
+        cmap = np.where(f.values >= 0.5, 1.0, 1e-4)
         assert row.R_eff_x == effective_sheet_resistance(cmap, "x")
         assert row.R_eff_y == effective_sheet_resistance(cmap, "y")
 
@@ -358,3 +359,14 @@ def test_analyze_fields_edge_cases():
     assert analyze_fields([], threads=1) == analyze_fields([], threads=2) == []
     with pytest.raises(ValueError, match="thread count"):
         analyze_fields([], threads=0)
+
+    def unread():
+        raise AssertionError("a field was read")
+        yield
+
+    # the conductivities are checked before the first field is taken
+    for sigma_al in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            analyze_fields(unread(), sigma_al=sigma_al)
+    with pytest.raises(ValueError, match="2-D array"):
+        label_clusters(np.ones((4, 4, 1), dtype=bool))

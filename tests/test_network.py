@@ -4,17 +4,15 @@ import scipy.sparse
 import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
-from spinodalkit.analysis import (ConductivityMap, LinearSolveError, PhaseMap,
-                                  _electrode_currents, _sheet_resistances,
-                                  _spd_inverse, effective_sheet_resistance)
-from spinodalkit.fields import GridSpec
+from spinodalkit.analysis import (LinearSolveError, _electrode_currents,
+                                  _sheet_resistances, _spd_inverse,
+                                  analyze_fields, effective_sheet_resistance)
+from spinodalkit.fields import GridSpec, ScalarField2D
 from dense_oracle import dense_sheet_resistance
 
 
-def cmap(sigma, h=1.0):
-    sigma = np.asarray(sigma, dtype=float)
-    ny, nx = sigma.shape
-    return ConductivityMap(spec=GridSpec(nx, ny, h), sigma=sigma)
+def cmap(sigma):
+    return np.asarray(sigma, dtype=float)
 
 
 def test_uniform_sheet_is_exact():
@@ -103,18 +101,18 @@ def sparse_sheet_resistance_x(s):
 def test_matches_sparse_direct_solve_on_64_grid():
     c = two_phase((64, 64), 1e4, seed=9)
     assert_allclose(effective_sheet_resistance(c, "x"),
-                    sparse_sheet_resistance_x(c.sigma), rtol=1e-9)
+                    sparse_sheet_resistance_x(c), rtol=1e-9)
     assert_allclose(effective_sheet_resistance(c, "y"),
-                    sparse_sheet_resistance_x(c.sigma.T), rtol=1e-9)
+                    sparse_sheet_resistance_x(c.T), rtol=1e-9)
 
 
 @pytest.mark.parametrize("shape", [(48, 40), (40, 47)])
 def test_non_square_two_phase_map_matches_sparse_direct_solve(shape):
     c = two_phase(shape, 1e4, seed=10)
     assert_allclose(effective_sheet_resistance(c, "x"),
-                    sparse_sheet_resistance_x(c.sigma), rtol=1e-9)
+                    sparse_sheet_resistance_x(c), rtol=1e-9)
     assert_allclose(effective_sheet_resistance(c, "y"),
-                    sparse_sheet_resistance_x(c.sigma.T), rtol=1e-9)
+                    sparse_sheet_resistance_x(c.T), rtol=1e-9)
 
 
 def random_spd(n, rng):
@@ -162,11 +160,11 @@ def test_spd_inverse_of_singular_matrix_raises(n, zero):
 
 def test_stacked_currents_equal_single_map_currents():
     rng = np.random.default_rng(16)
-    maps = [two_phase((64, 64), 1e4, seed=17).sigma,
+    maps = [two_phase((64, 64), 1e4, seed=17),
             np.exp(rng.standard_normal((64, 64))),
-            two_phase((64, 64), 1e6, seed=18).sigma.T,
+            two_phase((64, 64), 1e6, seed=18).T,
             np.full((64, 64), 3.0),
-            two_phase((64, 64), 1e2, seed=19).sigma]
+            two_phase((64, 64), 1e2, seed=19)]
     single = [_electrode_currents(s[None])[0] for s in maps]
     for k in range(1, 6):
         for start in range(0, 6 - k):
@@ -191,29 +189,28 @@ def test_conductivity_scaling():
 
 
 def test_two_phase_map_brackets_pure_phases():
+    # analyze_fields gives the Ti-rich cells (x >= x_c) sigma_ti, the rest sigma_al
     rng = np.random.default_rng(5)
     mask = rng.random((16, 16)) < 0.5
-    pm = PhaseMap(spec=GridSpec(16, 16), ti_rich=mask)
-    c = ConductivityMap.from_phase_map(pm, sigma_ti=1.0, sigma_al=1e-4)
-    assert np.array_equal(c.sigma == 1.0, mask)
-    r = effective_sheet_resistance(c, "x")
+    f = ScalarField2D(GridSpec(16, 16), np.where(mask, 0.9, 0.1))
+    row = analyze_fields([(0.0, f)], x_c=0.5, sigma_ti=1.0, sigma_al=1e-4)[0]
+    r = effective_sheet_resistance(np.where(mask, 1.0, 1e-4), "x")
+    assert row.R_eff_x == r
     assert 1.0 < r < 1e4  # between the pure Ti and pure Al sheets
 
 
 def test_invalid_axis_and_sigma():
-    c = cmap(np.ones((4, 4)))
-    with pytest.raises(ValueError):
-        effective_sheet_resistance(c, "diag")
-    with pytest.raises(ValueError):
-        cmap(np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        cmap(np.full((4, 4), -1.0))
-    bad = np.ones((4, 4))
-    bad[1, 2] = np.inf
-    with pytest.raises(ValueError):
-        cmap(bad)
-    with pytest.raises(ValueError, match="does not match grid"):
-        ConductivityMap(spec=GridSpec(4, 5), sigma=np.ones((4, 4)))
+    with pytest.raises(ValueError, match="axis must be"):
+        effective_sheet_resistance(np.ones((4, 4)), "diag")
+    for value in (0.0, -1.0, np.inf, np.nan):
+        bad = np.ones((4, 4))
+        bad[1, 2] = value
+        with pytest.raises(ValueError, match="positive and finite"):
+            effective_sheet_resistance(bad, "x")
+    # an empty axis or a third one is refused before any solve
+    for shape in ((0, 5), (5, 0), (4, 4, 1)):
+        with pytest.raises(ValueError, match="2-D array"):
+            effective_sheet_resistance(np.ones(shape), "y")
 
 
 def test_underflowing_bonds_raise_linear_solve_error():
@@ -224,7 +221,7 @@ def test_underflowing_bonds_raise_linear_solve_error():
 
 def test_failing_map_in_a_stack_raises_linear_solve_error():
     # the stack's sweep fails, so its maps are solved again one at a time
-    good = two_phase((16, 16), 1e4, seed=20).sigma
+    good = two_phase((16, 16), 1e4, seed=20)
     dead = np.full((16, 16), 1e-310)
     with pytest.raises(LinearSolveError, match="Kirchhoff"):
         _sheet_resistances(np.stack([good, dead, good]))

@@ -6,8 +6,10 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from spinodalkit import analysis, cli
 from spinodalkit.cli import build_parser
 from spinodalkit.config import _SCHEMA, RunConfig, parse_config
 
@@ -26,20 +28,49 @@ def test_every_exported_name_resolves(name):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _perfbench_hooks():
+def _perfbench_spans():
     path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.HOOKS
+    return spans
 
 
 def test_benchmark_tracer_hook_points_exist():
     # the tracer wraps each (module, attribute) its callers look up; one
     # that no longer exists makes its per-layer metrics read 0
-    missing = [f"{mod}.{attr}" for mod, attr, _, _ in _perfbench_hooks()
+    missing = [f"{mod}.{attr}" for mod, attr, _, _ in _perfbench_spans().HOOKS
                if not hasattr(importlib.import_module(mod), attr)]
     assert missing == []
+
+
+def test_benchmark_tracer_notes_and_names_come_from_real_calls(tmp_path):
+    # the tracer's notes read return values (n_clusters, n_steps) and its
+    # span names read arguments (the R_eff axis), which attribute checks
+    # alone do not pin
+    ini = tmp_path / "run.ini"
+    ini.write_text("[grid]\nnx = 16\nny = 16\n[solver]\nsnapshot_times = 0, 1\n")
+    out = str(tmp_path / "out")
+    tracer = _perfbench_spans().Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(argv) for argv in (
+            ["simulate", "--config", str(ini), "--out", out],
+            ["analyze", "--config", str(ini), "--in", out, "--out", out,
+             "--threads", "2"],
+            ["render", "--in", out, "--out", out])]
+        analysis.effective_sheet_resistance(np.ones((4, 4)), "y")
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0]
+    assert tracer.missing == []
+    notes = {}
+    for name, *_, note in tracer.spans:
+        notes.setdefault(name, []).append(note)
+    assert len(notes["analysis.label_clusters"]) == 2
+    assert all("n_clusters" in note for note in notes["analysis.label_clusters"])
+    assert "analysis.effective_sheet_resistance_y" in notes
+    assert [note["steps"] for note in notes["solver.run"]] == [200]
 
 
 def _readme_block(heading: str, lang: str) -> str:
