@@ -347,27 +347,19 @@ def _electrode_currents(s: np.ndarray) -> np.ndarray:
 
 def _sheet_resistances(s: np.ndarray) -> np.ndarray:
     """Sheet resistance per square of each map of a (k, ny, nx) stack of
-    oriented maps (see _oriented).
-
-    When the stack's sweep fails (a singular block, a floating-point
-    exception, or a current that is not finite and positive for some map),
-    its maps are solved again one at a time, in order, so the first failing
-    map raises LinearSolveError.
-    """
-    k, ny, nx = s.shape
+    oriented maps (see _oriented).  Raises LinearSolveError when the sweep
+    fails: a singular block, a floating-point exception, or a current that
+    is not finite and positive."""
+    _, ny, nx = s.shape
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             current = _electrode_currents(s)
     except (np.linalg.LinAlgError, FloatingPointError) as err:
-        if k == 1:
-            raise LinearSolveError(f"Kirchhoff elimination failed: {err}") from err
-    else:
-        if (np.isfinite(current) & (current > 0.0)).all():
-            return (1.0 / current) * (ny / nx)
-        if k == 1:
-            raise LinearSolveError(
-                f"Kirchhoff solve gave electrode current {float(current[0])!r}")
-    return np.concatenate([_sheet_resistances(s[i:i + 1]) for i in range(k)])
+        raise LinearSolveError(f"Kirchhoff elimination failed: {err}") from err
+    bad = current[~(np.isfinite(current) & (current > 0.0))]
+    if bad.size:
+        raise LinearSolveError(f"Kirchhoff solve gave electrode current {float(bad[0])!r}")
+    return (1.0 / current) * (ny / nx)
 
 
 def effective_sheet_resistance(sigma: np.ndarray, axis: str) -> float:
@@ -418,7 +410,7 @@ def _reff_stacks(shapes, threads: int) -> list[list[int]]:
 
     Each group of same-shape solves is cut, in input order, into at least
     min(threads, group size) contiguous stacks of at most
-    _REFF_STACK_ENTRIES block entries.  Stacks are ordered by first index.
+    _REFF_STACK_ENTRIES block entries.
     """
     groups = {}
     for j, shape in enumerate(shapes):
@@ -428,7 +420,7 @@ def _reff_stacks(shapes, threads: int) -> list[list[int]]:
         per_stack = max(1, _REFF_STACK_ENTRIES // (ny * ny))
         n = max(min(threads, len(jobs)), -(-len(jobs) // per_stack))
         stacks += [jobs[i * len(jobs) // n:(i + 1) * len(jobs) // n] for i in range(n)]
-    return sorted(stacks)
+    return stacks
 
 
 def analyze_fields(items, x_c: float = 0.5, sigma_ti: float = 1.0,
@@ -441,9 +433,7 @@ def analyze_fields(items, x_c: float = 0.5, sigma_ti: float = 1.0,
     stacks (see _reff_stacks), which up to `threads` worker threads take
     (BLAS and LAPACK release the GIL).  A solve gives the same bits in any
     stack and on any thread, so the rows do not depend on `threads`.  A
-    failing stack raises LinearSolveError at its first failing solve; the
-    first failing stack in order of its first solve raises, which for
-    fields of one shape is the first failing solve in input order.
+    failing solve raises LinearSolveError.
     """
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")

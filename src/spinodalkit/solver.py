@@ -40,8 +40,6 @@ __all__ = [
     "SimulationResult",
     "StabilityError",
     "TimeStepError",
-    "default_dt",
-    "max_stable_dt",
     "run",
     "write_diagnostics_csv",
 ]
@@ -107,20 +105,19 @@ class SolverParams:
                            tuple(sorted(float(t) + 0.0 for t in self.snapshot_times)))
 
     def resolve_dt(self, h: float) -> float:
-        """The step to take on a grid of spacing h.  Raises TimeStepError
-        unless it is positive and finite, and StabilityError above the
-        ceiling h^4/(16*D*kappa) unless force_dt is set."""
+        """The step on a grid of spacing h: dt, or h^4/(200*D*kappa) if None.
+        Raises TimeStepError unless it is positive and finite, and
+        StabilityError above the ceiling h^4/(16*D*kappa) unless force_dt."""
+        dt, ceiling = self.dt, math.inf
         try:
-            dt = self.dt if self.dt is not None else default_dt(h, self.D, self.kappa)
-        except (OverflowError, ZeroDivisionError):   # h ** 4 or 1/(D*kappa) too large
-            dt = math.inf
+            if dt is None:
+                dt = h ** 4 / (200.0 * self.D * self.kappa)
+            ceiling = h ** 4 / (16.0 * self.D * self.kappa)
+        except (OverflowError, ZeroDivisionError):   # h ** 4 or 1/(D*kappa) too large:
+            dt = math.inf if dt is None else dt      # no default and no ceiling
         if not (math.isfinite(dt) and dt > 0):
             raise TimeStepError(f"time step dt={dt!r} from h={h!r}, D={self.D!r}, "
                                 f"kappa={self.kappa!r} is not a positive finite number")
-        try:
-            ceiling = max_stable_dt(h, self.D, self.kappa)
-        except (OverflowError, ZeroDivisionError):   # no ceiling within the float range
-            ceiling = math.inf
         if dt > ceiling and not self.force_dt:
             raise StabilityError(
                 f"dt={dt:.6g} exceeds the stability ceiling {ceiling:.6g} "
@@ -148,16 +145,6 @@ class SimulationResult:
     final: ScalarField2D | None = None
     dt: float = 0.0
     n_steps: int = 0
-
-
-def default_dt(h: float, D: float, kappa: float) -> float:
-    """Conservative default step, ~36% of the linear stability limit."""
-    return h ** 4 / (200.0 * D * kappa)
-
-
-def max_stable_dt(h: float, D: float, kappa: float) -> float:
-    """Hard ceiling h^4/(16 D kappa); beyond it the run is rejected."""
-    return h ** 4 / (16.0 * D * kappa)
 
 
 def _chemical_potential(values: np.ndarray, h: float, kappa: float, mu: np.ndarray,

@@ -1,23 +1,28 @@
-"""Dense direct solve of the Kirchhoff system behind
-analysis.effective_sheet_resistance: the oracle for small grids in
-test_network and the acceptance suite.  It assembles the full nx*ny
-system node by node, so keep it to a few hundred cells."""
+"""Direct solves of the Kirchhoff system behind
+analysis.effective_sheet_resistance: the oracles for small grids in
+test_network and the acceptance suite.  They assemble the full nx*ny
+system node by node, so keep them to a few hundred cells (the exact solve
+to a hundred or so)."""
+
+from fractions import Fraction
 
 import numpy as np
 
 
-def dense_sheet_resistance(sigma, axis: str) -> float:
-    """R_eff per square of the conductivity array `sigma` driven along
-    `axis`, from one np.linalg.solve of the assembled nodal system."""
+def _nodal_system(sigma, axis: str):
+    """(A, b, gl) of the nodal system A V = b for unit voltage across
+    `axis`, with node (i, j) at row i*nx + j and gl the left electrode
+    bonds.  Entries take the dtype of `sigma`: float, or object for exact
+    rationals."""
     s = {"x": sigma, "y": sigma.T}[axis]
     ny, nx = s.shape
     n = nx * ny
-    gh = 2.0 * s[:, :-1] * s[:, 1:] / (s[:, :-1] + s[:, 1:])
-    gv = 2.0 * s[:-1, :] * s[1:, :] / (s[:-1, :] + s[1:, :])
-    gl, gr = 2.0 * s[:, 0], 2.0 * s[:, -1]
+    gh = 2 * s[:, :-1] * s[:, 1:] / (s[:, :-1] + s[:, 1:])
+    gv = 2 * s[:-1, :] * s[1:, :] / (s[:-1, :] + s[1:, :])
+    gl, gr = 2 * s[:, 0], 2 * s[:, -1]
 
-    A = np.zeros((n, n))
-    b = np.zeros(n)
+    A = np.zeros((n, n), dtype=s.dtype)
+    b = np.zeros(n, dtype=s.dtype)
 
     def k(i, j):
         return i * nx + j
@@ -38,7 +43,34 @@ def dense_sheet_resistance(sigma, axis: str) -> float:
         A[k(i, 0), k(i, 0)] += gl[i]
         b[k(i, 0)] += gl[i]
         A[k(i, nx - 1), k(i, nx - 1)] += gr[i]
+    return A, b, gl
 
-    V = np.linalg.solve(A, b).reshape(ny, nx)
+
+def dense_sheet_resistance(sigma, axis: str) -> float:
+    """R_eff per square of the conductivity array `sigma` driven along
+    `axis`, from one np.linalg.solve of the assembled nodal system."""
+    A, b, gl = _nodal_system(sigma, axis)
+    ny = len(gl)
+    V = np.linalg.solve(A, b).reshape(ny, -1)
     current = float((gl * (1.0 - V[:, 0])).sum())
-    return (1.0 / current) * (ny / nx)
+    return (1.0 / current) * (ny / V.shape[1])
+
+
+def exact_sheet_resistance(sigma, axis: str) -> Fraction:
+    """R_eff per square of `sigma` driven along `axis`, exactly: every float
+    conductivity is a rational, and Gaussian elimination of the nodal
+    system in Fraction arithmetic makes no rounding error."""
+    A, b, gl = _nodal_system(np.vectorize(Fraction, otypes=[object])(sigma), axis)
+    n, ny = len(b), len(gl)
+    nx = n // ny
+    w = nx + 1   # A is SPD and banded: A[r, c] = 0 for |r - c| > nx
+    for p in range(n):                             # forward elimination
+        for r in range(p + 1, min(n, p + w)):
+            f = A[r, p] / A[p, p]
+            A[r, p:p + w] -= f * A[p, p:p + w]
+            b[r] -= f * b[p]
+    V = [Fraction(0)] * n
+    for p in range(n - 1, -1, -1):                 # back substitution
+        V[p] = (b[p] - sum(A[p, c] * V[c] for c in range(p + 1, min(n, p + w)))) / A[p, p]
+    current = sum(g * (1 - V[i * nx]) for i, g in enumerate(gl))
+    return Fraction(ny, nx) / current

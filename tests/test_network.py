@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -8,7 +10,7 @@ from spinodalkit.analysis import (LinearSolveError, _electrode_currents,
                                   _sheet_resistances, _spd_inverse,
                                   analyze_fields, effective_sheet_resistance)
 from spinodalkit.fields import GridSpec, ScalarField2D
-from dense_oracle import dense_sheet_resistance
+from dense_oracle import dense_sheet_resistance, exact_sheet_resistance
 
 
 def cmap(sigma):
@@ -56,6 +58,17 @@ def test_matches_dense_direct_solve():
     for axis in ("x", "y"):
         assert_allclose(effective_sheet_resistance(c, axis),
                         dense_sheet_resistance(c, axis), rtol=1e-8)
+
+
+@pytest.mark.parametrize("contrast,rtol", [(1e4, 1e-11), (1e8, 1e-7)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_current_crossing_the_low_phase_against_exact_solve(seed, contrast, rtol):
+    # no Ti-rich path spans x, so the current must cross the 1/contrast
+    # phase and the elimination loses ~contrast * 1e-16 (measured at most
+    # 1.2e-12 at 1e4 and 1.8e-8 at 1e8); the oracle is exact rational arithmetic
+    sigma = cmap(np.where(np.random.default_rng(seed).random((8, 8)) < 0.3, 1.0, 1.0 / contrast))
+    exact = exact_sheet_resistance(sigma, "x")
+    assert abs(Fraction(effective_sheet_resistance(sigma, "x")) - exact) <= rtol * exact
 
 
 def two_phase(shape, contrast, seed):
@@ -220,7 +233,7 @@ def test_underflowing_bonds_raise_linear_solve_error():
 
 
 def test_failing_map_in_a_stack_raises_linear_solve_error():
-    # the stack's sweep fails, so its maps are solved again one at a time
+    # the dead map's sweep fails, so the whole stack raises
     good = two_phase((16, 16), 1e4, seed=20)
     dead = np.full((16, 16), 1e-310)
     with pytest.raises(LinearSolveError, match="Kirchhoff"):

@@ -9,8 +9,8 @@ from spinodalkit import cli, solver
 from spinodalkit.fields import (GridSpec, ScalarField2D, gaussian_field,
                                 snapshot_filename, snapshot_time)
 from spinodalkit.solver import (DIAG_HEADER, SolverParams, StabilityError,
-                                TimeStepError, _chemical_potential, default_dt,
-                                max_stable_dt, run, write_diagnostics_csv)
+                                TimeStepError, _chemical_potential, run,
+                                write_diagnostics_csv)
 from spinodalkit.thermo import d2gibbs, dgibbs, free_energy
 
 
@@ -20,9 +20,14 @@ def chemical_potential(v, h, kappa):
 
 
 def test_dt_defaults():
-    assert default_dt(1.0, 1.0, 1.0) == 1.0 / 200
-    assert max_stable_dt(1.0, 1.0, 1.0) == 1.0 / 16
-    assert default_dt(2.0, 1.0, 1.0) == 16.0 / 200
+    assert SolverParams().resolve_dt(1.0) == 1.0 / 200
+    assert SolverParams().resolve_dt(2.0) == 16.0 / 200
+    # the ceiling h^4/(16 D kappa) = 1/16 is accepted, the next float above is not
+    assert SolverParams(dt=1.0 / 16).resolve_dt(1.0) == 1.0 / 16
+    above = math.nextafter(1.0 / 16, 1.0)
+    with pytest.raises(StabilityError, match="stability ceiling"):
+        SolverParams(dt=above).resolve_dt(1.0)
+    assert SolverParams(dt=above, force_dt=True).resolve_dt(1.0) == above
 
 
 def test_params_validation():
