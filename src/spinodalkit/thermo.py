@@ -80,5 +80,9 @@ def free_energy(f: ScalarField2D, kappa: float) -> float:
     g *= g
     density += g
     density *= kappa
-    density += gibbs(v)
+    # G(v) = (v (1 - v))^2, as gibbs computes it, in the buffer g is done with
+    np.subtract(1.0, v, out=g)
+    g *= v
+    g *= g
+    density += g
     return float(density.sum() * h * h)

@@ -216,31 +216,111 @@ def test_snapshot_csv_reads_every_value_exactly(tmp_path):
     assert v.tobytes() == want.tobytes()
 
 
+def _edge_values(rng):
+    """Values at the edges of the snapshot formatter's arithmetic, with
+    their negatives: decimals of 1-17 digits in each decade from 1e-4 to
+    1e15 and their float neighbours, every power of two and its neighbours,
+    signed zeros, subnormals, and both ends of the range the formatter
+    decides itself."""
+    vals = [0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308]
+    for e in range(-4, 16):
+        for digits in range(1, 18):
+            for m in rng.integers(10 ** (digits - 1), 10 ** digits, size=4):
+                vals.append(float(f"{m}e{e - digits + 1}"))
+    vals += [2.0 ** k for k in range(-1074, 1024)]
+    vals += [1e-4, 1e-3, 0.1, 1.0, 1e15, 1e16]
+    vals += list((rng.integers(1, 2 ** 52, size=64, dtype=np.uint64)).view(np.float64))
+    v = np.array(vals)
+    with np.errstate(over="ignore"):  # the neighbour of the largest double
+        v = np.concatenate([v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)])
+    v = v[np.isfinite(v)]
+    return np.concatenate([v, -v])
+
+
+def _random_values(rng, n):
+    """n finite doubles: half raw 64-bit patterns, across all binades, and
+    half with exponents that keep them in [2**-14, 2**50), about the range
+    the snapshot formatter decides itself."""
+    bits = rng.integers(0, 2 ** 64, size=n, dtype=np.uint64)
+    exponent = rng.integers(1023 - 14, 1023 + 50, size=n // 2, dtype=np.uint64)
+    bits[:n // 2] = (bits[:n // 2] & np.uint64(0x800FFFFFFFFFFFFF)) | (exponent << np.uint64(52))
+    v = bits.view(np.float64)
+    return v[np.isfinite(v)]
+
+
+def _check_snapshot_bytes(tmp_path, values, nx, h):
+    values = values[:values.size - values.size % nx]
+    f = ScalarField2D(GridSpec(nx, values.size // nx, h=h), values.reshape(-1, nx))
+    p = tmp_path / f"snap_{nx}.csv"
+    write_snapshot_csv(f, p)
+    # the file by the format's definition, per-value repr, row by row
+    with open(p, "rb") as fh:
+        assert fh.readline() == f"{nx},{f.spec.ny},{h!r}\n".encode()
+        for row in f.values:
+            assert fh.readline() == f"{','.join(map(repr, row.tolist()))}\n".encode()
+        assert fh.read() == b""
+
+
+@pytest.mark.parametrize("nx", [4, 97, 1000])
+def test_snapshot_bytes_are_repr_of_every_value(tmp_path, nx):
+    # 2**18 values in all; nx = 97 and 1000 do not divide the formatter's
+    # chunk, so chunks end mid-row
+    rng = np.random.default_rng(nx)
+    edge = _edge_values(rng)
+    values = np.concatenate([edge, _random_values(rng, 2 ** 18 // 3 - edge.size)])
+    _check_snapshot_bytes(tmp_path, rng.permutation(values), nx, h=0.1)
+
+
+@pytest.mark.slow
+def test_snapshot_bytes_are_repr_of_every_value_large(tmp_path):
+    rng = np.random.default_rng(22)
+    _check_snapshot_bytes(tmp_path, _random_values(rng, 2 ** 22), 2039, h=1.0)
+
+
+def test_snapshot_write_memory_is_bounded(tmp_path):
+    # the body is formatted chunk by chunk: a 1000^2 write (about 19 MB of
+    # text) holds a few MB at most
+    import tracemalloc
+    f = gaussian_field(GridSpec(1000, 1000), 0.48, 1e-3, seed=4)
+    tracemalloc.start()
+    try:
+        write_snapshot_csv(f, tmp_path / "snap.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 @pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt()],
                          ids=["os_error", "interrupt"])
 def test_failed_snapshot_write_leaves_no_partial_file(tmp_path, monkeypatch, exc):
-    from spinodalkit import fields
+    from spinodalkit import floattext
     f = gaussian_field(GridSpec(8, 8), 0.48, 1e-3, seed=2)
     g = gaussian_field(GridSpec(8, 8), 0.48, 1e-3, seed=3)
+    format_cells = floattext._format_cells
     calls = []
 
-    def failing_repr(x):  # the writer's per-value formatter, failing halfway
-        calls.append(x)
-        if len(calls) == 32:
+    def failing_format(*args):  # the body's chunk formatter, failing halfway
+        calls.append(args)
+        if len(calls) == 3:
             raise exc
-        return repr(x)
+        return format_cells(*args)
 
-    monkeypatch.setattr(fields, "repr", failing_repr, raising=False)
+    def inject():
+        monkeypatch.setattr(floattext, "_CHUNK_CELLS", 16)  # 4 chunks of 16 cells
+        monkeypatch.setattr(floattext, "_format_cells", failing_format)
+
+    inject()
     with pytest.raises(type(exc)):
         write_snapshot_csv(f, tmp_path / "snap_t0.csv")
-    assert len(calls) == 32
+    assert len(calls) == 3
     assert list(tmp_path.iterdir()) == []
     # a failed rewrite keeps the complete file that was there
     monkeypatch.undo()
     write_snapshot_csv(g, tmp_path / "snap_t0.csv")
     before = (tmp_path / "snap_t0.csv").read_bytes()
     calls.clear()
-    monkeypatch.setattr(fields, "repr", failing_repr, raising=False)
+    inject()
     with pytest.raises(type(exc)):
         write_snapshot_csv(f, tmp_path / "snap_t0.csv")
     assert [p.name for p in tmp_path.iterdir()] == ["snap_t0.csv"]
