@@ -15,12 +15,15 @@ The default step h^4/(200 D kappa) = 0.005 sits well inside it; anything
 above the hard ceiling h^4/(16 D kappa) is rejected outright unless force_dt
 is set.
 
-A step touches three field buffers and one (ny, 2) edge buffer, all
-allocated once by `run`: it reads `values`, uses `mu` as the first
+`run` keeps the snapshot schedule, the diagnostics and the divergence
+check; the scheme is a step rule, built by `_step_rule`.  A rule's
+`advance()` makes the next field its `values` and returns it, and keeps the
+field before it in `previous`: the last stable field if the new one fails
+the check.  The explicit rule allocates three field buffers and one (ny, 2)
+edge buffer once.  A step reads `values`, uses `mu` as the first
 Laplacian's 4x scratch before G'(x) overwrites it, scales `mu` in place
-during the second Laplacian, and leaves the next field in `lap`.  `run`
-swaps `values` and `lap` once the new field passes the divergence check,
-so `values` still holds the last stable field when the check fails.
+during the second Laplacian, and leaves the next field in the buffer of
+`previous`, whose name it then swaps with `values`.
 """
 
 from __future__ import annotations
@@ -180,6 +183,30 @@ def _euler_step(values: np.ndarray, h: float, D: float, kappa: float, dt: float,
     return lap
 
 
+class _ExplicitRule:
+    """Forward Euler through `_euler_step` (see the module docstring)."""
+
+    def __init__(self, values: np.ndarray, h: float, D: float, kappa: float, dt: float):
+        self.values = values.copy()
+        self.previous = np.empty_like(self.values)
+        self._mu = np.empty_like(self.values)
+        self._edge = np.empty((self.values.shape[0], 2))
+        self._coefficients = (h, D, kappa, dt)
+
+    def advance(self) -> np.ndarray:
+        new = _euler_step(self.values, *self._coefficients, self.previous, self._mu,
+                          self._edge)
+        self.values, self.previous = new, self.values
+        return new
+
+
+def _step_rule(params: SolverParams, values: np.ndarray, h: float,
+               dt: float) -> _ExplicitRule:
+    """The step rule of `params`, starting from the field `values`.  `run`
+    looks this name up at call time, so a test can substitute a rule."""
+    return _ExplicitRule(values, h, params.D, params.kappa, dt)
+
+
 def _check_sane(values: np.ndarray, step: int, time: float) -> None:
     hi = float(values.max())   # max of an array containing NaN is NaN
     lo = float(values.min())
@@ -225,12 +252,7 @@ def run(init: ScalarField2D, params: SolverParams) -> SimulationResult:
                             "2**53, beyond which step times are not exact")
 
     result = SimulationResult(dt=dt, n_steps=n_steps)
-    # The step reads `values` and writes the next field into `lap`; the two
-    # swap after every accepted step, so the loop allocates nothing.
-    values = init.values.copy()
-    lap, mu = np.empty_like(values), np.empty_like(values)
-    edge = np.empty((spec.ny, 2))
-    h = spec.h
+    rule = _step_rule(params, init.values, spec.h, dt)
 
     def record(step: int, vals: np.ndarray) -> None:
         result.diagnostics.append(_diag(vals, init, step, dt, params.kappa))
@@ -239,22 +261,21 @@ def run(init: ScalarField2D, params: SolverParams) -> SimulationResult:
         for t in snap_steps.get(step, ()):
             result.snapshots[t] = init.with_values(vals.copy())
 
-    record(0, values)
-    snapshot(0, values)
+    record(0, rule.values)
+    snapshot(0, rule.values)
     for step in range(1, n_steps + 1):
-        _euler_step(values, h, params.D, params.kappa, dt, lap, mu, edge)
+        values = rule.advance()
         try:
-            _check_sane(lap, step, step * dt)
+            _check_sane(values, step, step * dt)
         except StabilityError as err:
             err.partial = result
-            err.last_stable = init.with_values(values)
+            err.last_stable = init.with_values(rule.previous)
             raise
-        values, lap = lap, values
         if step % params.diag_stride == 0 or step == n_steps or step in snap_steps:
             record(step, values)
         snapshot(step, values)
 
-    result.final = init.with_values(values)
+    result.final = init.with_values(rule.values)
     return result
 
 

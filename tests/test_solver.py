@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 from spinodalkit import cli, solver
 from spinodalkit.fields import (GridSpec, ScalarField2D, gaussian_field,
-                                snapshot_filename, snapshot_time)
+                                read_snapshot_csv, snapshot_filename,
+                                snapshot_time, write_snapshot_csv)
 from spinodalkit.solver import (DIAG_HEADER, SolverParams, StabilityError,
                                 TimeStepError, _chemical_potential, run,
                                 write_diagnostics_csv)
@@ -104,6 +105,49 @@ def test_abort_carries_partial_result_and_last_stable_field():
     assert np.isfinite(err.last_stable.values).all()
 
 
+class FailingRule:
+    """A step rule that adds 1e-3 to its field each step, and whose field
+    turns non-finite at step `k`; `fields[s]` is its field after step s."""
+
+    def __init__(self, values, k):
+        self.values, self.previous, self.k = values.copy(), None, k
+        self.fields = [self.values]
+
+    def advance(self):
+        if len(self.fields) < self.k:
+            new = self.values + 1e-3
+        else:
+            new = np.full_like(self.values, np.nan)
+        self.previous, self.values = self.values, new
+        self.fields.append(new)
+        return new
+
+
+def test_divergence_of_the_step_rule_reports_its_step_and_the_steps_before(monkeypatch):
+    k, dt, rules = 7, 0.005, []
+
+    def failing_rule(params, values, h, dt):
+        rules.append(FailingRule(values, k))
+        return rules[-1]
+
+    monkeypatch.setattr(solver, "_step_rule", failing_rule)
+    f = gaussian_field(GridSpec(16, 16), 0.48, 1e-3, seed=10)
+    # snapshot steps 0, 3, 6, 7 and 10; diagnostics every 2 steps
+    params = SolverParams(dt=dt, n_steps=20, diag_stride=2,
+                          snapshot_times=(0.0, 0.015, 0.03, 0.035, 0.05))
+    with pytest.raises(StabilityError) as info:
+        run(f, params)
+    err, (rule,) = info.value, rules
+    assert (err.step, err.time) == (k, k * dt)
+    assert sorted(err.partial.snapshots) == [0.0, 0.015, 0.03]
+    for t, step in ((0.0, 0), (0.015, 3), (0.03, 6)):
+        assert np.array_equal(err.partial.snapshots[t].values, rule.fields[step])
+    assert [d.step for d in err.partial.diagnostics] == [0, 2, 3, 4, 6]
+    for d in err.partial.diagnostics:
+        assert d.mass == rule.fields[d.step].mean()
+    assert np.array_equal(err.last_stable.values, rule.fields[k - 1])
+
+
 def test_chemical_potential_of_uniform_field():
     c = 0.3
     mu = chemical_potential(np.full((8, 8), c), 1.0, kappa=1.0)
@@ -179,6 +223,17 @@ def test_restarted_run_continues_the_trajectory_exactly():
     f = gaussian_field(GridSpec(16, 16), 0.48, 1e-3, seed=5)
     first = run(f, SolverParams(n_steps=3, snapshot_times=()))
     rest = run(first.final, SolverParams(n_steps=4, snapshot_times=()))
+    whole = run(f, SolverParams(n_steps=7, snapshot_times=()))
+    assert np.array_equal(rest.final.values, whole.final.values)
+
+
+def test_restart_from_a_snapshot_file_continues_the_trajectory_exactly(tmp_path):
+    f = gaussian_field(GridSpec(20, 12, 1.3), 0.48, 1e-3, seed=5)
+    first = run(f, SolverParams(n_steps=3, snapshot_times=()))
+    write_snapshot_csv(first.final, tmp_path / "snap.csv")
+    restart = read_snapshot_csv(tmp_path / "snap.csv")
+    assert restart.spec == f.spec
+    rest = run(restart, SolverParams(n_steps=4, snapshot_times=()))
     whole = run(f, SolverParams(n_steps=7, snapshot_times=()))
     assert np.array_equal(rest.final.values, whole.final.values)
 
@@ -265,6 +320,45 @@ def test_step_calls_go_through_the_module_attributes(monkeypatch):
     f = gaussian_field(GridSpec(16, 16), 0.48, 1e-3, seed=9)
     run(f, SolverParams(n_steps=10, snapshot_times=()))
     assert calls == {"_euler_step": 10, "_laplacian_values": 20, "dgibbs": 10}
+
+
+def explicit_amplification(omega, dt, n):
+    """Forward Euler's growth of a linear mode over n steps."""
+    return (1.0 + dt * omega) ** n
+
+
+# Cahn's linear theory (Acta Metall. 9, 795 (1961)), on the 5-point grid:
+# about a uniform field x_bar, a step rule multiplies each Fourier mode k of
+# x - x_bar by its amplification of omega(k) = D lam (G''(x_bar) - 2 kappa lam),
+# lam = -(4/h^2)(sin^2(k_x h/2) + sin^2(k_y h/2)) being the stencil's symbol.
+# At variance 1e-12 the quadratic term of G' moves a mode by ~1e-5 of itself
+# (the deviation scales with the amplitude): the explicit rule's largest
+# relative deviation over the band 0.2 < |k| < 0.8 at t = 10 is 1.5e-5 on
+# 64x64 and 2.8e-5 on 48x40, while e^(omega t) is 4.4e-4 and 7.1e-3 away
+# and one step fewer 6.6e-4 and 4.4e-3.  The bound 1e-4 tells them apart.
+@pytest.mark.parametrize("amplification", [explicit_amplification], ids=["explicit"])
+@pytest.mark.parametrize("nx,ny,h,D,kappa", [(64, 64, 1.0, 1.0, 1.0),
+                                             (48, 40, 1.3, 0.7, 1.5)],
+                         ids=["64x64", "48x40_h1.3"])
+def test_fourier_modes_grow_by_the_linear_theory_amplification(nx, ny, h, D, kappa,
+                                                               amplification):
+    f = gaussian_field(GridSpec(nx, ny, h), 0.48, 1e-12, seed=0)
+    res = run(f, SolverParams(D=D, kappa=kappa, snapshot_times=(10.0,)))
+    x_bar = f.values.mean()
+    kx = 2 * np.pi * np.fft.rfftfreq(nx, d=h)
+    ky = 2 * np.pi * np.fft.fftfreq(ny, d=h)[:, None]
+    lam = -(4 / h ** 2) * (np.sin(kx * h / 2) ** 2 + np.sin(ky * h / 2) ** 2)
+    omega = D * lam * (d2gibbs(x_bar) - 2 * kappa * lam)
+    band = (0.2 < np.hypot(kx, ky)) & (np.hypot(kx, ky) < 0.8)
+    assert (omega[band] > 0).any() and (omega[band] < 0).any()
+    growth = (np.fft.rfft2(res.final.values - res.final.values.mean())[band]
+              / np.fft.rfft2(f.values - x_bar)[band])
+
+    def deviation(factor):
+        return np.abs(growth / factor[band] - 1).max()
+
+    assert deviation(amplification(omega, res.dt, res.n_steps)) < 1e-4
+    assert deviation(np.exp(omega * res.n_steps * res.dt)) > 1e-4
 
 
 # sha256 of every `simulate` output as computed with the np.roll Laplacian
