@@ -94,12 +94,11 @@ def _cmd_simulate(args) -> int:
 
     try:
         result = solver.run(init, params)
-    except solver.StabilityError as err:
-        if err.partial is not None:   # the run diverged after it started
-            write(err.partial)
-            write_snapshot_csv(err.last_stable, out / "snap_last_stable.csv")
-            print(f"wrote last stable field to {out / 'snap_last_stable.csv'}",
-                  file=sys.stderr)
+    except solver.StabilityError as err:   # the run diverged after it started
+        write(err.partial)
+        write_snapshot_csv(err.last_stable, out / "snap_last_stable.csv")
+        print(f"wrote last stable field to {out / 'snap_last_stable.csv'}",
+              file=sys.stderr)
         raise
     write(result)
     print(f"simulate: {len(result.snapshots)} snapshots, {result.n_steps} steps "
@@ -274,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=_int_in(0, SEED_LIMIT),
                        help="override the config seed")
     p_sim.add_argument("--force-dt", action="store_true",
-                       help="bypass the dt stability ceiling")
+                       help="bypass the dt stability limit")
     add("analyze", _cmd_analyze, "microstructure report from snapshots",
         config=True, infile=True)
     add("transport", _cmd_transport, "derive carrier/superconducting parameters",

@@ -8,12 +8,12 @@ Update rule (forward Euler, composed 5-point Laplacians):
 The scheme conserves the mean exactly (the discrete Laplacian of any field
 sums to zero) and dissipates the free energy `thermo.free_energy`, whose
 gradient is h^2 mu, when dt is inside the linear stability window.  Von
-Neumann analysis of the update linearised about the worst-case curvature
-G''=2 gives, with q_max = 8/h^2 for the 5-point stencil,
-dt_crit = 2 / (D q_max (G''_max + 2 kappa q_max)) ~ 0.0139 at D=kappa=h=1.
-The default step h^4/(200 D kappa) = 0.005 sits well inside it; anything
-above the hard ceiling h^4/(16 D kappa) is rejected outright unless force_dt
-is set.
+Neumann analysis of the update linearised about G''_max = 2, the largest
+curvature of G on [0, 1], with q_max = 8/h^2 for the 5-point stencil, gives
+the stability limit that `SolverParams.resolve_dt` enforces unless force_dt:
+dt <= 2 / (D q_max (G''_max + 2 kappa q_max)) = h^4 / (8 D (h^2 + 8 kappa)),
+1/72 ~ 0.0139 at D = kappa = h = 1.  It is sufficient, not tight.  The
+default step h^4/(200 D kappa) is below it wherever h^2 < 17 kappa.
 
 `run` keeps the snapshot schedule, the diagnostics and the divergence
 check; the scheme is a step rule, built by `_step_rule`.  A rule's
@@ -53,10 +53,10 @@ _MAX_STEPS = 2 ** 53
 
 
 class StabilityError(RuntimeError, NumericalFailure):
-    """The field diverged, or a diverging dt was requested.
+    """The field diverged during a run; a step refused before it is a TimeStepError.
 
-    When raised mid-run, `partial` holds the SimulationResult accumulated so
-    far and `last_stable` the field just before the offending step.
+    `partial` holds the SimulationResult accumulated so far and
+    `last_stable` the field just before the offending step.
     """
 
     def __init__(self, message: str, step: int | None = None, time: float | None = None):
@@ -71,9 +71,10 @@ class TimeStepError(ValueError):
     """The time step is not a positive finite number, although h, D and
     kappa each are: h^4 or 200*D*kappa leaves the float range (h = 1e-100
     gives dt = 0, D = 1e-320 gives dt = inf), or an explicit dt is inf or
-    nan.  Also raised when a snapshot time is more steps of dt away than a
-    float can count (t = 1e308, or dt = 1e-310), or when the run needs more
-    than 2**53 steps (t = 1e15 at dt = 0.005, or n_steps = 1e17)."""
+    nan.  Also raised for a step above the stability limit unless force_dt
+    is set, when a snapshot time is more steps of dt away than a float can
+    count (t = 1e308, or dt = 1e-310), or when the run needs more than 2**53
+    steps (t = 1e15 at dt = 0.005, or n_steps = 1e17)."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class SolverParams:
     """Time-stepping controls.
 
     dt=None selects the default step h^4/(200*D*kappa).  n_steps=None runs
-    exactly to the last snapshot time.  force_dt skips the stability ceiling
+    exactly to the last snapshot time.  force_dt skips the stability limit
     (the divergence guard still fires if the run blows up).
     """
 
@@ -109,22 +110,22 @@ class SolverParams:
 
     def resolve_dt(self, h: float) -> float:
         """The step on a grid of spacing h: dt, or h^4/(200*D*kappa) if None.
-        Raises TimeStepError unless it is positive and finite, and
-        StabilityError above the ceiling h^4/(16*D*kappa) unless force_dt."""
-        dt, ceiling = self.dt, math.inf
+        Raises TimeStepError unless it is positive and finite, and, unless
+        force_dt, at most the stability limit h^4/(8*D*(h^2 + 8*kappa))."""
+        dt, limit = self.dt, math.inf
         try:
             if dt is None:
                 dt = h ** 4 / (200.0 * self.D * self.kappa)
-            ceiling = h ** 4 / (16.0 * self.D * self.kappa)
+            limit = h ** 4 / (8.0 * self.D * (h * h + 8.0 * self.kappa))
         except (OverflowError, ZeroDivisionError):   # h ** 4 or 1/(D*kappa) too large:
-            dt = math.inf if dt is None else dt      # no default and no ceiling
+            dt = math.inf if dt is None else dt      # no default and no limit
         if not (math.isfinite(dt) and dt > 0):
             raise TimeStepError(f"time step dt={dt!r} from h={h!r}, D={self.D!r}, "
                                 f"kappa={self.kappa!r} is not a positive finite number")
-        if dt > ceiling and not self.force_dt:
-            raise StabilityError(
-                f"dt={dt:.6g} exceeds the stability ceiling {ceiling:.6g} "
-                "(h^4/(16*D*kappa)); pass force_dt to override")
+        if dt > limit and not self.force_dt:
+            raise TimeStepError(f"time step dt={dt:.6g} exceeds the stability limit "
+                                f"h^4/(8*D*(h^2 + 8*kappa)) = {limit:.6g}; set [solver] dt "
+                                "at or below it, or force_dt (--force-dt) to run it anyway")
         return dt
 
 

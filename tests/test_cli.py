@@ -253,7 +253,7 @@ def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys, monkeypatch
     with contextlib.redirect_stderr(io.StringIO()):
         cli._parser()  # usage errors must go to sys.stderr as of the call
     reused = _run_calls(calls, tmp_path / "reused", capsys)
-    assert [r[0] for r in reused] == [0, 0, 1, 3, 1, 3, 0, 0]
+    assert [r[0] for r in reused] == [0, 0, 1, 3, 1, 2, 0, 0]
     assert reused[4][2].startswith("usage: spinodalkit simulate")
     assert "argument --seed: invalid int value: 'five'" in reused[4][2]
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
@@ -365,9 +365,41 @@ def test_simulate_rejects_unstable_dt(tmp_path, capsys):
     ini.write_text(CONFIG + "dt = 0.5\n")
     out = tmp_path / "out"
     code = cli.main(["simulate", "--config", str(ini), "--out", str(out)])
-    assert code == 3
-    assert "stability ceiling" in capsys.readouterr().err
+    assert code == 2
+    assert "exceeds the stability limit" in capsys.readouterr().err
     assert not (out / "snap_last_stable.csv").exists()
+
+
+def test_dt_above_the_stability_limit_exits_2_before_any_step(tmp_path, capsys):
+    # 0.015 is above h^4/(8 D (h^2 + 8 kappa)) = 1/72; unrefused, this run
+    # diverges at step 6285 (t = 94.275)
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[grid]\nnx = 64\nny = 64\n[init]\nseed = 1\n"
+                   "[solver]\ndt = 0.015\nsnapshot_times = 0, 100\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 2
+    assert "stability limit h^4/(8*D*(h^2 + 8*kappa)) = 0.0138889" in capsys.readouterr().err
+    assert not list(out.iterdir())
+    ini.write_text(ini.read_text().replace("dt = 0.015", "dt = 0.0135"))
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("snap_t*.csv")) == ["snap_t0.csv", "snap_t100.csv"]
+
+
+@pytest.mark.parametrize("h,code", [("4", 0), ("4.2", 2)])
+def test_automatic_dt_is_below_the_limit_where_h2_is_below_17_kappa(tmp_path, capsys,
+                                                                    h, code):
+    # h^4/(200 D kappa) <= h^4/(8 D (h^2 + 8 kappa)) iff h^2 <= 17 kappa:
+    # 1.28 < 1.333 at h = 4, but 1.556 > 1.517 at h = 4.2
+    ini = tmp_path / "h.ini"
+    ini.write_text(f"[grid]\nnx = 8\nny = 8\nh = {h}\n[solver]\nsnapshot_times = 0, 20\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == code
+    snaps = sorted(p.name for p in out.glob("snap_t*.csv"))
+    if code:
+        assert "set [solver] dt at or below it" in capsys.readouterr().err
+        assert not snaps
+    else:
+        assert snaps == ["snap_t0.csv", "snap_t20.csv"]
 
 
 def test_force_dt_divergence_writes_last_stable(tmp_path, capsys):
@@ -406,7 +438,7 @@ def test_unusable_automatic_dt_is_data_error(tmp_path, capsys, text, dt):
 
 
 def test_huge_spacing_has_no_dt_ceiling(tmp_path, capsys):
-    # h^4 overflows, so the ceiling h^4/(16*D*kappa) is beyond the float range
+    # h^4 overflows, so the limit h^4/(8*D*(h^2 + 8*kappa)) is beyond the float range
     ini = tmp_path / "big.ini"
     ini.write_text("[grid]\nnx = 8\nny = 8\nh = 1e100\n"
                    "[solver]\ndt = 0.1\nsnapshot_times = 0, 0.1\n")

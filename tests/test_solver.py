@@ -23,12 +23,27 @@ def chemical_potential(v, h, kappa):
 def test_dt_defaults():
     assert SolverParams().resolve_dt(1.0) == 1.0 / 200
     assert SolverParams().resolve_dt(2.0) == 16.0 / 200
-    # the ceiling h^4/(16 D kappa) = 1/16 is accepted, the next float above is not
-    assert SolverParams(dt=1.0 / 16).resolve_dt(1.0) == 1.0 / 16
-    above = math.nextafter(1.0 / 16, 1.0)
-    with pytest.raises(StabilityError, match="stability ceiling"):
+    # the limit h^4/(8 D (h^2 + 8 kappa)) = 1/72 is accepted, the next float above is not
+    assert SolverParams(dt=1.0 / 72).resolve_dt(1.0) == 1.0 / 72
+    above = math.nextafter(1.0 / 72, 1.0)
+    with pytest.raises(TimeStepError, match="stability limit"):
         SolverParams(dt=above).resolve_dt(1.0)
     assert SolverParams(dt=above, force_dt=True).resolve_dt(1.0) == above
+
+
+@pytest.mark.parametrize("h,D,kappa", [(1.0, 1.0, 1.0), (1.3, 0.7, 1.5), (2.0, 1.0, 1.0)])
+def test_dt_limit_is_the_checkerboard_stability_bound(h, D, kappa):
+    # Linearised about G'' = 2, the explicit step multiplies a Fourier mode
+    # of stencil wavenumber q by 1 - dt D q (2 + 2 kappa q); the checkerboard
+    # has the largest, q = 8/h^2, and the limit is the dt at which its factor
+    # reaches -1.
+    q = 8.0 / h ** 2
+    limit = 2.0 / (D * q * (2.0 + 2.0 * kappa * q))
+    assert 1.0 - limit * D * q * (2.0 + 2.0 * kappa * q) == pytest.approx(-1.0, abs=1e-12)
+    below = limit * (1.0 - 1e-12)
+    assert SolverParams(D=D, kappa=kappa, dt=below).resolve_dt(h) == below
+    with pytest.raises(TimeStepError, match="stability limit"):
+        SolverParams(D=D, kappa=kappa, dt=limit * (1.0 + 1e-12)).resolve_dt(h)
 
 
 def test_params_validation():
@@ -61,7 +76,7 @@ def test_snapshot_times_are_normalized_sorted():
 def test_dt_above_ceiling_is_rejected():
     f = gaussian_field(GridSpec(16, 16), 0.48, 1e-3, seed=0)
     bad = SolverParams(dt=0.1, snapshot_times=(0.1,))
-    with pytest.raises(StabilityError):
+    with pytest.raises(TimeStepError):
         run(f, bad)
 
 
@@ -95,7 +110,7 @@ def test_forced_unstable_dt_trips_divergence_guard():
 
 def test_abort_carries_partial_result_and_last_stable_field():
     f = gaussian_field(GridSpec(32, 32), 0.48, 1e-3, seed=0)
-    params = SolverParams(dt=0.06, snapshot_times=(0.0, 600.0))
+    params = SolverParams(dt=0.06, snapshot_times=(0.0, 600.0), force_dt=True)
     with pytest.raises(StabilityError) as info:
         run(f, params)
     err = info.value
@@ -290,7 +305,8 @@ def test_run_outputs_share_no_memory_and_stay_fixed():
 
 def test_stability_error_fields_share_no_memory_and_stay_fixed():
     f = gaussian_field(GridSpec(32, 32), 0.48, 1e-3, seed=0)
-    params = SolverParams(dt=0.06, snapshot_times=(0.0, 0.06, 0.12, 600.0))
+    params = SolverParams(dt=0.06, snapshot_times=(0.0, 0.06, 0.12, 600.0),
+                          force_dt=True)
     with pytest.raises(StabilityError) as info:
         run(f, params)
     err = info.value
@@ -305,7 +321,8 @@ def test_stability_error_fields_share_no_memory_and_stay_fixed():
     for a, b in zip(arrays, before):
         assert np.array_equal(a, b)
     # last_stable is the field one step before the divergence
-    upto = run(f, SolverParams(dt=0.06, n_steps=err.step - 1, snapshot_times=()))
+    upto = run(f, SolverParams(dt=0.06, n_steps=err.step - 1, snapshot_times=(),
+                               force_dt=True))
     assert np.array_equal(err.last_stable.values, upto.final.values)
 
 
