@@ -7,7 +7,8 @@ Four families of diagnostics:
 * clustering — connected components of a 2-D boolean phase mask under
   4-connectivity (scipy.ndimage.label), with spanning tests;
 * percolation — a Monte Carlo site-percolation threshold estimate from the
-  exact spanning onset of each trial;
+  exact spanning onset of each trial, its trial stacks run on a thread
+  per usable core;
 * transport — effective sheet resistance of a 2-D array of per-cell
   conductivities from an exact Kirchhoff solve with harmonic-mean bond
   conductances, by column-by-column elimination at O(nx*ny^3) time and
@@ -17,7 +18,8 @@ Four families of diagnostics:
 analyze_fields reports all four for a batch of ScalarField2D snapshots,
 from each one's Ti-rich mask x >= x_c and its two-valued conductivity
 array; its R_eff solves, one per snapshot and axis, are swept in stacks of
-same-shape maps, and the stacks can run on a thread pool.
+same-shape maps, and the stacks can run on a thread pool.  Both cut their
+work with _cut and map it in order with _map_in_order.
 
 Clustering and spanning use non-periodic boundaries (electrodes break
 periodicity) even though the underlying composition field is periodic;
@@ -27,6 +29,7 @@ the mismatch is deliberate and only affects edge-touching clusters.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -140,6 +143,38 @@ def spans(labeling: ClusterLabeling, axis: str) -> bool:
     return bool((common > 0).any())
 
 
+# ---------------------------------------------------------------------------
+# Stacks and workers
+# ---------------------------------------------------------------------------
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity set, or
+    os.cpu_count() where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _cut(jobs: list, per_stack: int, workers: int) -> list[list]:
+    """jobs cut, in order, into at least min(workers, len(jobs)) contiguous
+    stacks of at most per_stack jobs each, whose sizes differ by at most one."""
+    n = max(min(workers, len(jobs)), -(-len(jobs) // per_stack))
+    return [jobs[i * len(jobs) // n:(i + 1) * len(jobs) // n] for i in range(n)]
+
+
+def _map_in_order(fn, stacks: list, workers: int) -> list:
+    """[fn(stack) for stack in stacks], on up to `workers` threads; with one
+    worker, or one stack, no pool is made."""
+    workers = min(workers, len(stacks))
+    if workers <= 1:
+        return list(map(fn, stacks))
+    # imported here: the serial path, and every other subcommand, never pays for it
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, stacks))
+
+
 # Trial cells labelled by one ndimage.label call in percolation_threshold_mc;
 # at L=64 the per-call Python overhead outweighs the labelling itself, so
 # trials are stacked up to this size (a trial larger than it is labelled alone)
@@ -215,23 +250,28 @@ def percolation_threshold_mc(L: int, trials: int, seed: int) -> tuple[float, flo
     Each trial draws one uniform field u from its own child of
     SeedSequence(seed), so runs with different seeds share no trials.  The
     trial's estimate is the exact top-to-bottom spanning onset of u (see
-    _spanning_onsets, which takes the trials in stacks).  Returns the trial
-    mean and its standard error.
+    _spanning_onsets).  The trials are cut into stacks of at most
+    _LABEL_CHUNK_CELLS trial cells, at least one per usable core, which a
+    thread per core labels (ndimage.label releases the interpreter lock).
+    A trial's onset is the same in any stack and the estimates are taken in
+    trial order, so the result does not depend on the core count.  Returns
+    the trial mean and its standard error.
     """
     if L < 32:
         raise ValueError(f"grid size must be >= 32, got {L}")
     if trials < 50:
         raise ValueError(f"trial count must be >= 50, got {trials}")
     children = np.random.SeedSequence(seed).spawn(trials)
-    per_stack = max(1, _LABEL_CHUNK_CELLS // (L * L))
-    onsets = []
-    for start in range(0, trials, per_stack):
-        chunk = children[start:start + per_stack]
-        u = np.empty((len(chunk), L, L))
-        for trial, child in zip(u, chunk):
+    workers = _usable_cores()
+    stacks = _cut(children, max(1, _LABEL_CHUNK_CELLS // (L * L)), workers)
+
+    def onsets(stack) -> np.ndarray:
+        u = np.empty((len(stack), L, L))
+        for trial, child in zip(u, stack):
             np.random.default_rng(child).random(out=trial)
-        onsets.append(_spanning_onsets(u))
-    estimates = np.concatenate(onsets)
+        return _spanning_onsets(u)
+
+    estimates = np.concatenate(_map_in_order(onsets, stacks, workers))
     p_hat = float(estimates.mean())
     stderr = float(estimates.std(ddof=1) / math.sqrt(trials))
     return p_hat, stderr
@@ -408,18 +448,16 @@ def _reff_stacks(shapes, threads: int) -> list[list[int]]:
     """Indices into `shapes`, the oriented shapes of the R_eff solves, cut
     into stacks for _sheet_resistances.
 
-    Each group of same-shape solves is cut, in input order, into at least
-    min(threads, group size) contiguous stacks of at most
-    _REFF_STACK_ENTRIES block entries.
+    Each group of same-shape solves is cut by _cut, in input order, into at
+    least min(threads, group size) stacks of at most _REFF_STACK_ENTRIES
+    block entries.
     """
     groups = {}
     for j, shape in enumerate(shapes):
         groups.setdefault(shape, []).append(j)
     stacks = []
     for (ny, _), jobs in groups.items():
-        per_stack = max(1, _REFF_STACK_ENTRIES // (ny * ny))
-        n = max(min(threads, len(jobs)), -(-len(jobs) // per_stack))
-        stacks += [jobs[i * len(jobs) // n:(i + 1) * len(jobs) // n] for i in range(n)]
+        stacks += _cut(jobs, max(1, _REFF_STACK_ENTRIES // (ny * ny)), threads)
     return stacks
 
 
@@ -459,16 +497,8 @@ def analyze_fields(items, x_c: float = 0.5, sigma_ti: float = 1.0,
     def solve(stack: list[int]) -> list[float]:
         return _sheet_resistances(np.stack([oriented[j] for j in stack])).tolist()
 
-    workers = min(threads, len(stacks))
-    if workers <= 1:
-        results = list(map(solve, stacks))
-    else:
-        # imported here: the serial path, and every other subcommand, never pays for it
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(solve, stacks))
     r_eff = [0.0] * len(oriented)
-    for stack, values in zip(stacks, results):
+    for stack, values in zip(stacks, _map_in_order(solve, stacks, threads)):
         for j, value in zip(stack, values):
             r_eff[j] = value
     return [AnalysisRow(**row, R_eff_x=rx, R_eff_y=ry)

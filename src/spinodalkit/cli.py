@@ -134,10 +134,8 @@ def _warn_if_oversubscribed(workers: int) -> None:
     such a run is slower than a serial one.  The package sets no BLAS
     thread count, so an unset one is taken as one per core (OpenBLAS's
     default)."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        cores = os.cpu_count() or 1
+    from . import analysis
+    cores = analysis._usable_cores()
     blas = cores
     for var in _BLAS_THREAD_VARS:
         try:

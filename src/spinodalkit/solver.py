@@ -111,17 +111,20 @@ class SolverParams:
     def resolve_dt(self, h: float) -> float:
         """The step on a grid of spacing h: dt, or h^4/(200*D*kappa) if None.
         Raises TimeStepError unless it is positive and finite, and, unless
-        force_dt, at most the stability limit h^4/(8*D*(h^2 + 8*kappa))."""
-        dt, limit = self.dt, math.inf
-        try:
-            if dt is None:
+        force_dt, at most the stability limit h^4/(8*D*(h^2 + 8*kappa)).
+        The limit is computed as h^2/(8*D*(1 + 8*kappa/h^2)), which stays
+        finite where h^4 overflows; where h^2 underflows it is 0."""
+        dt = self.dt
+        if dt is None:
+            try:
                 dt = h ** 4 / (200.0 * self.D * self.kappa)
-            limit = h ** 4 / (8.0 * self.D * (h * h + 8.0 * self.kappa))
-        except (OverflowError, ZeroDivisionError):   # h ** 4 or 1/(D*kappa) too large:
-            dt = math.inf if dt is None else dt      # no default and no limit
+            except (OverflowError, ZeroDivisionError):   # h ** 4 or 1/(D*kappa) too large
+                dt = math.inf
         if not (math.isfinite(dt) and dt > 0):
             raise TimeStepError(f"time step dt={dt!r} from h={h!r}, D={self.D!r}, "
                                 f"kappa={self.kappa!r} is not a positive finite number")
+        h2 = h * h
+        limit = h2 / (8.0 * self.D * (1.0 + 8.0 * self.kappa / h2)) if h2 else 0.0
         if dt > limit and not self.force_dt:
             raise TimeStepError(f"time step dt={dt:.6g} exceeds the stability limit "
                                 f"h^4/(8*D*(h^2 + 8*kappa)) = {limit:.6g}; set [solver] dt "

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.ndimage
@@ -179,10 +181,41 @@ def test_percolation_estimates_are_pinned(args):
     assert percolation_threshold_mc(*args) == PINNED_PERCOLATION[args]
 
 
+# c13's (L, trials, seed) and its pair, which the serial stacks gave
+PINNED_PERCOLATION_C13 = {(256, 200, 7): (0.5931243666930983, 0.0005199187860314177)}
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_percolation_estimates_do_not_depend_on_the_core_count(monkeypatch, cores):
+    monkeypatch.setattr(analysis, "_usable_cores", lambda: cores)
+    for args, pinned in {**PINNED_PERCOLATION, **PINNED_PERCOLATION_C13}.items():
+        assert percolation_threshold_mc(*args) == pinned
+
+
+def test_percolation_stacks_run_on_a_thread_per_core(monkeypatch):
+    # the first stack on each thread waits until a second thread has one:
+    # only a pool of two workers gets past the barrier
+    monkeypatch.setattr(analysis, "_usable_cores", lambda: 2)
+    spanning_onsets = analysis._spanning_onsets
+    barrier = threading.Barrier(2, timeout=30.0)
+    idents = set()
+
+    def rendezvous(u):
+        if threading.get_ident() not in idents:
+            idents.add(threading.get_ident())
+            barrier.wait()
+        return spanning_onsets(u)
+
+    monkeypatch.setattr(analysis, "_spanning_onsets", rendezvous)
+    assert percolation_threshold_mc(L=64, trials=53, seed=11) == PINNED_PERCOLATION[(64, 53, 11)]
+    assert len(idents) == 2 and threading.get_ident() not in idents
+
+
 def test_percolation_labels_stacks_of_at_most_2_16_cells(monkeypatch):
     # every label call holds at most 16 trials of 64^2 (2^16 trial cells),
     # each a 64-row mask followed by one blank row, and only trials whose
-    # onset is still open
+    # onset is still open; one worker keeps the recorded calls in order
+    monkeypatch.setattr(analysis, "_usable_cores", lambda: 1)
     stacks, calls = [], []
     spanning_onsets, label = analysis._spanning_onsets, scipy.ndimage.label
 
@@ -198,7 +231,9 @@ def test_percolation_labels_stacks_of_at_most_2_16_cells(monkeypatch):
     monkeypatch.setattr(scipy.ndimage, "label", record_label)
     percolation_threshold_mc(L=64, trials=53, seed=11)
     monkeypatch.undo()
-    assert [len(u) for u in stacks] == [16, 16, 16, 5]
+    # balanced: 4 stacks are needed, and 53 trials cut into 4 give 13/13/13/14
+    assert [len(u) for u in stacks] == [13, 13, 13, 14]
+    first_trial = np.cumsum([0] + [len(u) for u in stacks])
 
     fields = [f for u in stacks for f in u]
     v = [np.sort(f.ravel()) for f in fields]
@@ -210,7 +245,7 @@ def test_percolation_labels_stacks_of_at_most_2_16_cells(monkeypatch):
         masks = image.reshape(-1, 65, 64)
         assert 1 <= len(masks) <= 16 and not masks[:, 64].any()
         # the masks are trials of this stack, in stack order
-        trial = 16 * stack
+        trial = first_trial[stack]
         for mask in masks[:, :64]:
             rank = int(mask.sum()) - 1
             while not np.array_equal(mask, fields[trial] <= v[trial][rank]):

@@ -156,7 +156,7 @@ def test_fit_with_no_downhill_step_is_not_converged(tmp_path, monkeypatch, capsy
 def test_cli_import_leaves_scipy_special_unloaded(tmp_path):
     # scipy.special costs ~0.3 s of start-up; only gaussian_field needs it.
     # scipy.ndimage costs ~60 ms; only labelling and percolation need it.
-    # concurrent.futures costs ~7 ms; only a threaded analyze needs it.
+    # concurrent.futures costs ~7 ms; only a pool (analyze, percolation) needs it.
     # The package modules cost ~35 ms together, and each subcommand
     # imports only those it uses when it runs.
     code = ("import sys, spinodalkit.cli; print(*(m in sys.modules for m in "
@@ -438,7 +438,8 @@ def test_unusable_automatic_dt_is_data_error(tmp_path, capsys, text, dt):
 
 
 def test_huge_spacing_has_no_dt_ceiling(tmp_path, capsys):
-    # h^4 overflows, so the limit h^4/(8*D*(h^2 + 8*kappa)) is beyond the float range
+    # h^4 overflows, but the limit h^2/(8*D*(1 + 8*kappa/h^2)) = 1.25e199
+    # is finite and far above dt = 0.1
     ini = tmp_path / "big.ini"
     ini.write_text("[grid]\nnx = 8\nny = 8\nh = 1e100\n"
                    "[solver]\ndt = 0.1\nsnapshot_times = 0, 0.1\n")
@@ -446,6 +447,20 @@ def test_huge_spacing_has_no_dt_ceiling(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
     assert "2 snapshots, 1 steps" in capsys.readouterr().out
     assert sorted(p.name for p in out.glob("snap_t*.csv")) == ["snap_t0.1.csv", "snap_t0.csv"]
+
+
+@pytest.mark.parametrize("h,dt,limit", [
+    ("1e80", "1e200", "1.25e+159"),   # h^4 overflows; unrefused, it diverges at step 1
+    ("1e-200", "1e-300", "0"),        # h^2 underflows, so the limit does too
+], ids=["h4_overflows", "h2_underflows"])
+def test_dt_above_the_limit_exits_2_at_extreme_spacings(tmp_path, capsys, h, dt, limit):
+    ini = tmp_path / "h.ini"
+    ini.write_text(f"[grid]\nnx = 8\nny = 8\nh = {h}\n"
+                   f"[solver]\ndt = {dt}\nsnapshot_times = 0, {dt}\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 2
+    assert f"stability limit h^4/(8*D*(h^2 + 8*kappa)) = {limit};" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_close_snapshot_times_get_distinct_files(tmp_path):
