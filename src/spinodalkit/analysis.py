@@ -7,8 +7,9 @@ Four families of diagnostics:
 * clustering — connected components of a 2-D boolean phase mask under
   4-connectivity (scipy.ndimage.label), with spanning tests;
 * percolation — a Monte Carlo site-percolation threshold estimate from the
-  exact spanning onset of each trial, its trial stacks run on a thread
-  per usable core;
+  exact spanning onset of each trial: labellings narrow a bracket of ranks
+  around it, and a union-find sweep over the last bracket's cells finishes
+  it; the trial stacks run on a thread per usable core;
 * transport — effective sheet resistance of a 2-D array of per-cell
   conductivities from an exact Kirchhoff solve with harmonic-mean bond
   conductances, by column-by-column elimination at O(nx*ny^3) time and
@@ -186,6 +187,66 @@ _LABEL_CHUNK_CELLS = 2 ** 16
 _P_C = 0.592746
 
 
+# A field of n cells whose onset bracket holds at most n // _SWEEP_SHARE
+# ranks is finished by _sweep_onset instead of further labellings.  The
+# sweep holds the interpreter lock, so a wider one slows the thread pool
+# more than its saved labellings gain (BENCH_percolation_sweep.json)
+_SWEEP_SHARE = 64
+
+
+def _sweep_onset(u: np.ndarray, labels: np.ndarray, above, upto):
+    """The smallest value v of the (ny, nx) field u such that the cells with
+    u <= v span top to bottom, given that the cells u <= above do not span,
+    that the cells u <= upto do, and `labels`, the 4-connected clusters of
+    the cells u <= above (0 background, any distinct positive ids).
+
+    The cells above < u <= upto are added in value order to a union-find
+    over those clusters (Newman & Ziff, PRL 85, 4104 (2000)), and the value
+    of the first cell whose set touches both the top and the bottom row is
+    returned: the cells added before it, with the clusters, are the occupied
+    set of every threshold below it, and none of those spans.
+    """
+    ny, nx = u.shape
+    flat = u.ravel()
+    cells = np.flatnonzero((flat > above) & (flat <= upto))
+    cells = cells[np.argsort(flat[cells], kind="stable")]
+    # ids on the grid with a blank border, rows of w cells: the i-th cell
+    # added gets first + i, so the cells not yet added have ids above the
+    # adding cell's; 0 is the border and the background
+    w = nx + 2
+    ids = np.zeros((ny + 2) * w, dtype=np.intp)
+    ids.reshape(ny + 2, w)[1:-1, 1:-1] = labels
+    first = int(labels.max()) + 1
+    at = cells + 2 * (cells // nx) + (w + 1)
+    ids[at] = np.arange(first, first + cells.size)
+    neighbours = ids[at[:, None] + (-w, w, -1, 1)].tolist()
+    # edge bits of each root: 1 touches the top row, 2 the bottom row; no
+    # cluster touches both, as the cells u <= above do not span
+    edges = dict.fromkeys(labels[-1].tolist(), 2)
+    edges.update(dict.fromkeys(labels[0].tolist(), 1))
+    edges.pop(0, None)
+    bottom = (ny - 1) * nx
+    parent = {}
+    for me, (cell, around) in enumerate(zip(cells.tolist(), neighbours), first):
+        bits = (cell < nx) + 2 * (cell >= bottom)
+        for b in around:
+            if not 0 < b < me:
+                continue
+            path = []
+            while b in parent:
+                path.append(b)
+                b = parent[b]
+            for a in path:
+                parent[a] = me
+            if b != me:
+                parent[b] = me
+                bits |= edges.pop(b, 0)
+        if bits == 3:
+            return flat[cell]
+        edges[me] = bits
+    raise AssertionError("the cells u <= upto do not span")
+
+
 def _spanning_onsets(u: np.ndarray) -> np.ndarray:
     """For each field u[i] of a (k, ny, nx) stack, the smallest value v of
     u[i] such that the cells with u[i] <= v span top to bottom.
@@ -198,7 +259,11 @@ def _spanning_onsets(u: np.ndarray) -> np.ndarray:
     steps from the last one in the direction its result points, by a step
     that starts near the onset's spread (n**(5/8) / 2 ranks, from
     finite-size scaling with nu = 4/3) and doubles every round; the bracket
-    is then bisected.
+    is then bisected.  Once a field's bracket holds at most
+    n // _SWEEP_SHARE ranks, _sweep_onset finishes it from the clusters of
+    its last non-spanning probe (an empty grid while it has none): the
+    window of cells v[lo - 1] < u <= v[hi] is chosen by value, so tied
+    values give the onset the search would.
 
     Every round labels the fields whose onset is still open in one
     ndimage.label call on a 2-D image: their masks stacked as rows, with a
@@ -215,12 +280,18 @@ def _spanning_onsets(u: np.ndarray) -> np.ndarray:
     probe = np.full(k, int(_P_C * n))
     step = max(1, int(n ** 0.625 / 2))
     image = np.zeros((k, ny + 1, nx), dtype=bool)   # row ny stays blank
+    base = np.zeros((k, ny, nx), dtype=np.int32)    # labels of u <= v[lo - 1]
     while True:
-        if (done := lo == hi).any():
-            onsets[live[done]] = v[done, lo[done]]
-            keep = ~done
-            live, u, v, lo, hi, probe = (
-                a[keep] for a in (live, u, v, lo, hi, probe))
+        done = lo == hi
+        onsets[live[done]] = v[done, lo[done]]
+        sweep = ~done & (hi - lo < n // _SWEEP_SHARE)
+        for i in np.flatnonzero(sweep):
+            above = v[i, lo[i] - 1] if lo[i] else -np.inf
+            onsets[live[i]] = _sweep_onset(u[i], base[i], above, v[i, hi[i]])
+        if (finished := done | sweep).any():
+            keep = ~finished
+            live, u, v, lo, hi, probe, base = (
+                a[keep] for a in (live, u, v, lo, hi, probe, base))
         if not live.size:
             return onsets
         m = np.clip(probe, lo, hi - 1)
@@ -235,6 +306,7 @@ def _spanning_onsets(u: np.ndarray) -> np.ndarray:
         on_top[labels[:, 0]] = True
         on_top[0] = False
         span = on_top[labels[:, ny - 1]].any(axis=1)
+        np.copyto(base, labels[:, :ny], where=~span[:, None, None])
         hi = np.where(span, m, hi)
         lo = np.where(span, lo, m + 1)
         # lo > 0 once a probe failed to span, hi < n - 1 once one spanned
@@ -250,9 +322,12 @@ def percolation_threshold_mc(L: int, trials: int, seed: int) -> tuple[float, flo
     Each trial draws one uniform field u from its own child of
     SeedSequence(seed), so runs with different seeds share no trials.  The
     trial's estimate is the exact top-to-bottom spanning onset of u (see
-    _spanning_onsets).  The trials are cut into stacks of at most
-    _LABEL_CHUNK_CELLS trial cells, at least one per usable core, which a
-    thread per core labels (ndimage.label releases the interpreter lock).
+    _spanning_onsets): about 3.5 labellings at L=64 and 2.3 at L=256 narrow
+    it to a bracket of at most L*L // 64 ranks, and a union-find sweep over
+    that bracket's cells gives the same value as labelling them would.  The
+    trials are cut into stacks of at most _LABEL_CHUNK_CELLS trial cells, at
+    least one per usable core, which a thread per core labels (ndimage.label
+    releases the interpreter lock).
     A trial's onset is the same in any stack and the estimates are taken in
     trial order, so the result does not depend on the core count.  Returns
     the trial mean and its standard error.

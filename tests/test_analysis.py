@@ -216,12 +216,13 @@ def test_percolation_labels_stacks_of_at_most_2_16_cells(monkeypatch):
     # each a 64-row mask followed by one blank row, and only trials whose
     # onset is still open; one worker keeps the recorded calls in order
     monkeypatch.setattr(analysis, "_usable_cores", lambda: 1)
-    stacks, calls = [], []
+    stacks, results, calls = [], [], []
     spanning_onsets, label = analysis._spanning_onsets, scipy.ndimage.label
 
     def record_stack(u):
         stacks.append(u)
-        return spanning_onsets(u)
+        results.append(spanning_onsets(u))
+        return results[-1]
 
     def record_label(image, *args, **kwargs):
         calls.append((len(stacks) - 1, image.copy()))
@@ -239,6 +240,7 @@ def test_percolation_labels_stacks_of_at_most_2_16_cells(monkeypatch):
     v = [np.sort(f.ravel()) for f in fields]
     onset = [int(np.searchsorted(s, _per_field_onset(f)))
              for s, f in zip(v, fields)]
+    assert np.concatenate(results).tolist() == [s[r] for s, r in zip(v, onset)]
     probes = [[] for _ in fields]     # ranks each trial was labelled at
     for stack, image in calls:
         assert image.shape[1] == 64 and image.shape[0] % 65 == 0
@@ -252,14 +254,24 @@ def test_percolation_labels_stacks_of_at_most_2_16_cells(monkeypatch):
                 trial += 1
             probes[trial].append(rank)
             trial += 1
-    n = 64 * 64
+    n, width = 64 * 64, 64 * 64 // 64
     for r, seen in zip(onset, probes):
-        def known(ranks):
-            return ((r == n - 1 or r in ranks)
-                    and (r == 0 or r - 1 in ranks))
-        assert known(seen) and not known(seen[:-1])
-    # the bisection over all 4096 ranks took 12 passes per trial
-    assert sum(map(len, probes)) <= 10 * len(fields)
+        # [lo, hi] is the bracket the probes so far leave around r
+        lo, hi = 0, n - 1
+        for rank in seen:
+            # each probe lies in the open bracket of the earlier ones, and
+            # none is made once that bracket is closed or narrow
+            assert lo <= rank < hi and hi - lo + 1 > width
+            if rank >= r:
+                hi = rank
+            else:
+                lo = rank + 1
+        # the sweep finishes a bracket of at most n // 64 ranks unlabelled
+        assert lo <= r <= hi
+        assert lo == hi or hi - lo + 1 <= width
+    # the bisection over all 4096 ranks took 12 passes per trial, and the
+    # search without the sweep 9.1
+    assert sum(map(len, probes)) <= 4 * len(fields)
 
 
 def test_spanning_onset_is_exact():
@@ -295,7 +307,15 @@ def _per_field_onset(u):
 def test_stacked_onsets_match_per_field_bisection():
     rng = np.random.default_rng(5)
     stacks = [rng.random((k, 32, 32)) for k in range(1, 6)]
-    stacks += [rng.random((3, 32, 48)), rng.random((3, 48, 32))]
+    stacks += [rng.random((3, 32, 48)), rng.random((3, 48, 32)),
+               rng.random((3, 33, 97))]
+    # heavy ties (30 levels), and correlated fields (cumulative sums)
+    stacks += [rng.integers(0, 30, (4, 40, 48)) / 30,
+               rng.integers(0, 30, (2, 64, 64)) / 30,
+               np.cumsum(rng.random((3, 48, 40)) - 0.5, axis=2)
+               + np.cumsum(rng.random((3, 48, 40)) - 0.5, axis=1)]
+    # 256^2: the sweep finishes a bracket of up to 1024 ranks
+    stacks.append(rng.random((1, 256, 256)))
     # "leak" stack: even fields are low only in their top 20 rows, odd ones
     # only in their bottom 20; a structure linking neighbouring fields would
     # join the overlap and let each odd field span at a low value
@@ -312,10 +332,49 @@ def test_stacked_onsets_match_per_field_bisection():
     row[20] = 0.99 + 0.01 * rng.random(32)
     mixed = np.stack([rng.random((32, 32)), row, column, rng.random((32, 32)),
                       leak[1]])
-    for u in stacks + [leak, column[None], row[None], mixed]:
+    # the onset cell (15, 5) joins a low column on the top rows to a low
+    # block on the bottom rows: both are clusters of the last non-spanning
+    # probe, one touching only the top row and one only the bottom row
+    bridge = 0.9 + 0.1 * rng.random((32, 32))
+    bridge[16:] = 0.01 + 0.09 * rng.random((16, 32))
+    bridge[16, 5] = 0.01
+    bridge[:15, 5] = 0.01 * rng.random(15)
+    bridge[15, 5] = 0.5
+    # on 8 x 106 the search steps down to a spanning probe of rank 7, a
+    # bracket within n // 64 = 13 ranks before any probe failed: the sweep
+    # starts from an empty grid
+    wide = 0.9 + 0.1 * rng.random((8, 106))
+    wide[:, 40] = 0.1 * rng.random(8)
+    for u in stacks + [leak, column[None], row[None], mixed, bridge[None],
+                       wide[None]]:
         expected = [_per_field_onset(field) for field in u]
         assert analysis._spanning_onsets(u).tolist() == expected
     assert (analysis._spanning_onsets(leak) > 0.5).all()
+    assert analysis._spanning_onsets(bridge[None])[0] == 0.5
+    assert analysis._spanning_onsets(wide[None])[0] == wide[:, 40].max()
+
+
+def test_spanning_onset_decides_spans_on_solver_snapshots(monkeypatch):
+    # x >= x_c spans along an axis iff x_c <= -w, w the onset of -x with
+    # that axis turned top to bottom: one search answers every x_c
+    sweeps = []
+    sweep_onset = analysis._sweep_onset
+
+    def count_sweep(*args):
+        sweeps.append(args)
+        return sweep_onset(*args)
+
+    monkeypatch.setattr(analysis, "_sweep_onset", count_sweep)
+    f = gaussian_field(GridSpec(32, 32), 0.48, 1e-3, seed=3)
+    res = run(f, SolverParams(snapshot_times=(0.0, 10.0)))
+    for x in (res.snapshots[0.0].values, res.snapshots[10.0].values):
+        for axis in ("x", "y"):
+            top = -analysis._spanning_onsets(-analysis._oriented(x, axis).T[None])[0]
+            levels = [top, np.nextafter(top, np.inf), x.min(), x.max(),
+                      *np.quantile(x, [0.1, 0.3, 0.5, 0.7, 0.9])]
+            for x_c in levels:
+                assert spans(label_clusters(x >= x_c), axis) == (top >= x_c)
+    assert sweeps
 
 
 def test_percolation_trials_of_nearby_seeds_are_independent(monkeypatch):
