@@ -19,8 +19,10 @@ Four families of diagnostics:
 analyze_fields reports all four for a batch of ScalarField2D snapshots,
 from each one's Ti-rich mask x >= x_c and its two-valued conductivity
 array; its R_eff solves, one per snapshot and axis, are swept in stacks of
-same-shape maps, and the stacks can run on a thread pool.  Both cut their
-work with _cut and map it in order with _map_in_order.
+same-shape maps on a pool of usable cores // BLAS threads workers, so
+that pool threads and BLAS threads together never ask for more than the
+usable cores.  Percolation and the R_eff solves cut their work with
+_cut and map it in order with _map_in_order.
 
 Clustering and spanning use non-periodic boundaries (electrodes break
 periodicity) even though the underlying composition field is periodic;
@@ -38,7 +40,6 @@ import numpy as np
 from .fields import NumericalFailure, ScalarField2D, write_table_csv
 
 __all__ = [
-    "NoStructureError",
     "LinearSolveError",
     "ClusterLabeling",
     "AnalysisRow",
@@ -52,10 +53,6 @@ __all__ = [
     "write_report_csv",
     "REPORT_HEADER",
 ]
-
-class NoStructureError(ValueError, NumericalFailure):
-    """The field is constant; no length scale can be extracted."""
-
 
 class LinearSolveError(RuntimeError, NumericalFailure):
     """The Kirchhoff system of a conductivity map has no usable solution:
@@ -73,10 +70,11 @@ def characteristic_length(f: ScalarField2D) -> float:
 
     A pure sinusoid of wavelength lam gives L = lam exactly; white noise
     gives a few cell spacings.  Invariant under cyclic shifts and x -> 1-x.
+    A constant field has no finite length scale: L = inf.
     """
     v = f.values
     if float(v.max()) == float(v.min()):
-        raise NoStructureError("constant field has no structure")
+        return math.inf
     spectrum = np.abs(np.fft.fft2(v - v.mean())) ** 2
     kx = 2.0 * np.pi * np.fft.fftfreq(f.spec.nx, d=f.spec.h)
     ky = 2.0 * np.pi * np.fft.fftfreq(f.spec.ny, d=f.spec.h)
@@ -155,6 +153,20 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """Threads each BLAS call may use: the first positive integer among
+    OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS, else one per
+    usable core (OpenBLAS's default).  The package sets none of them."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n
+    return _usable_cores()
 
 
 def _cut(jobs: list, per_stack: int, workers: int) -> list[list]:
@@ -412,9 +424,11 @@ def _spd_inverse(S: np.ndarray) -> np.ndarray:
     return out
 
 
-def _electrode_currents(s: np.ndarray) -> np.ndarray:
+def _electrode_currents(gh, gv, gl, gr) -> np.ndarray:
     """Current through the left electrode for unit voltage left->right,
-    insulating top/bottom, for each map of a (k, ny, nx) stack.
+    insulating top/bottom, for each network of a stack of k: bonds gh
+    (k, ny, nx-1) within rows, gv (k, ny-1, nx) within columns, and gl, gr
+    (k, ny) to the left and right electrodes (see _bond_conductances).
 
     Exact column-by-column Schur complement from the right electrode to the
     left: with A_j the Kirchhoff block of column j and G_j = diag(gh[:, j])
@@ -430,9 +444,9 @@ def _electrode_currents(s: np.ndarray) -> np.ndarray:
     block per column; each map's current is computed exactly as it would be
     alone.  Memory is O(k ny^2) and time O(k nx ny^3).
     """
-    k, ny, nx = s.shape
-    gh, gv, gl, gr = _bond_conductances(s)
-    diag = np.zeros_like(s)
+    k, ny = gl.shape
+    nx = gv.shape[-1]
+    diag = np.zeros((k, ny, nx))
     diag[..., :-1] += gh
     diag[..., 1:] += gh
     diag[..., :-1, :] += gv
@@ -468,7 +482,7 @@ def _sheet_resistances(s: np.ndarray) -> np.ndarray:
     _, ny, nx = s.shape
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            current = _electrode_currents(s)
+            current = _electrode_currents(*_bond_conductances(s))
     except (np.linalg.LinAlgError, FloatingPointError) as err:
         raise LinearSolveError(f"Kirchhoff elimination failed: {err}") from err
     bad = current[~(np.isfinite(current) & (current > 0.0))]
@@ -519,12 +533,12 @@ REPORT_HEADER = ",".join(f.name for f in fields(AnalysisRow))
 _REFF_STACK_ENTRIES = 2 ** 18
 
 
-def _reff_stacks(shapes, threads: int) -> list[list[int]]:
+def _reff_stacks(shapes, workers: int) -> list[list[int]]:
     """Indices into `shapes`, the oriented shapes of the R_eff solves, cut
     into stacks for _sheet_resistances.
 
     Each group of same-shape solves is cut by _cut, in input order, into at
-    least min(threads, group size) stacks of at most _REFF_STACK_ENTRIES
+    least min(workers, group size) stacks of at most _REFF_STACK_ENTRIES
     block entries.
     """
     groups = {}
@@ -532,24 +546,22 @@ def _reff_stacks(shapes, threads: int) -> list[list[int]]:
         groups.setdefault(shape, []).append(j)
     stacks = []
     for (ny, _), jobs in groups.items():
-        stacks += _cut(jobs, max(1, _REFF_STACK_ENTRIES // (ny * ny)), threads)
+        stacks += _cut(jobs, max(1, _REFF_STACK_ENTRIES // (ny * ny)), workers)
     return stacks
 
 
 def analyze_fields(items, x_c: float = 0.5, sigma_ti: float = 1.0,
-                   sigma_al: float = 1e-4, threads: int = 1) -> list[AnalysisRow]:
+                   sigma_al: float = 1e-4) -> list[AnalysisRow]:
     """One AnalysisRow per (time, field) pair of `items`, in input order
     (Ti-rich phase throughout).
 
     The R_eff solves, one per field and axis, dominate the cost and are
     independent.  Solves of the same oriented shape are swept together in
-    stacks (see _reff_stacks), which up to `threads` worker threads take
-    (BLAS and LAPACK release the GIL).  A solve gives the same bits in any
-    stack and on any thread, so the rows do not depend on `threads`.  A
-    failing solve raises LinearSolveError.
+    stacks (see _reff_stacks), which max(1, usable cores // BLAS threads)
+    pool threads take (BLAS and LAPACK release the GIL).  A solve gives the
+    same bits in any stack and on any thread, so the rows do not depend on
+    the worker count.  A failing solve raises LinearSolveError.
     """
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
     _positive_finite(np.array([sigma_ti, sigma_al], dtype=np.float64))
     rows, sigmas = [], []
     for time, f in items:
@@ -567,13 +579,16 @@ def analyze_fields(items, x_c: float = 0.5, sigma_ti: float = 1.0,
         sigmas.append(np.where(ti_rich, float(sigma_ti), float(sigma_al)))
     # two solves per field, in the order (field 0, x), (field 0, y), (field 1, x), ...
     oriented = [_oriented(s, axis) for s in sigmas for axis in ("x", "y")]
-    stacks = _reff_stacks([s.shape for s in oriented], threads)
+    # pool threads, each running BLAS on _blas_threads() threads, that ask for
+    # more threads than there are usable cores are slower than one worker
+    workers = max(1, _usable_cores() // _blas_threads())
+    stacks = _reff_stacks([s.shape for s in oriented], workers)
 
     def solve(stack: list[int]) -> list[float]:
         return _sheet_resistances(np.stack([oriented[j] for j in stack])).tolist()
 
     r_eff = [0.0] * len(oriented)
-    for stack, values in zip(stacks, _map_in_order(solve, stacks, threads)):
+    for stack, values in zip(stacks, _map_in_order(solve, stacks, workers)):
         for j, value in zip(stack, values):
             r_eff[j] = value
     return [AnalysisRow(**row, R_eff_x=rx, R_eff_y=ry)

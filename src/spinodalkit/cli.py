@@ -5,7 +5,7 @@ fit-sigma | render.  Exit codes are a stable scripting contract:
 0 success, 1 usage error, 2 data/parse error, 3 numerical failure.
 
 All randomness flows from the config seed (or --seed override); outputs
-are byte-identical across repeated runs and across --threads values.
+are byte-identical across repeated runs and worker counts.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -125,43 +124,13 @@ def _snapshot_paths(in_path: Path) -> list[tuple[float, Path]]:
     return found
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _warn_if_oversubscribed(workers: int) -> None:
-    """One stderr line when `workers` pool threads, each running BLAS on its
-    own BLAS threads, ask for more threads than there are usable cores:
-    such a run is slower than a serial one.  The package sets no BLAS
-    thread count, so an unset one is taken as one per core (OpenBLAS's
-    default)."""
-    from . import analysis
-    cores = analysis._usable_cores()
-    blas = cores
-    for var in _BLAS_THREAD_VARS:
-        try:
-            n = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if n > 0:
-            blas = n
-            break
-    if workers > 1 and workers * blas > cores:
-        print(f"spinodalkit analyze: warning: {workers} pool workers x {blas} BLAS "
-              f"threads exceed {cores} usable cores, which is slower than a "
-              "serial run; set OPENBLAS_NUM_THREADS=1 or lower --threads",
-              file=sys.stderr)
-
-
 def _cmd_analyze(args) -> int:
     from . import analysis
     cfg = _load_run_config(args)
     out = _out_dir(cfg.out_dir)
-    paths = _snapshot_paths(Path(args.in_path))
-    # analyze_fields runs two R_eff solves per snapshot on min(threads, solves) workers
-    _warn_if_oversubscribed(min(args.threads, 2 * len(paths)))
-    snapshots = ((t, read_snapshot_csv(path)) for t, path in paths)
-    rows = analysis.analyze_fields(snapshots, **section(cfg, "analysis"),
-                                   threads=args.threads)
+    snapshots = ((t, read_snapshot_csv(path))
+                 for t, path in _snapshot_paths(Path(args.in_path)))
+    rows = analysis.analyze_fields(snapshots, **section(cfg, "analysis"))
     report = out / "report.csv"
     analysis.write_report_csv(report, rows)
     print(f"analyze: {len(rows)} snapshots -> {report}")
@@ -263,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="input file (or snapshot directory)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--threads", type=_int_in(1, math.inf), default=1,
-                       help="worker cap; only analyze uses workers "
-                            "(results are thread-count independent)")
+                       help="accepted and checked, but changes nothing: "
+                            "analyze sizes its own pool")
         return p
 
     p_sim = add("simulate", _cmd_simulate, "run the phase-field solver", config=True)

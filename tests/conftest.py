@@ -10,3 +10,15 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if SLOW_FIXTURES.intersection(getattr(item, "fixturenames", ())):
             item.add_marker(pytest.mark.slow)
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """set_workers(n): `analysis` sees n usable cores and one BLAS thread,
+    so analyze_fields runs its R_eff stacks on up to n pool threads."""
+    from spinodalkit import analysis
+
+    def set_workers(n: int) -> None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(analysis, "_usable_cores", lambda: n)
+    return set_workers

@@ -1,8 +1,8 @@
-"""Direct solves of the Kirchhoff system behind
-analysis.effective_sheet_resistance: the oracles for small grids in
-test_network and the acceptance suite.  They assemble the full nx*ny
-system node by node, so keep them to a few hundred cells (the exact solve
-to a hundred or so)."""
+"""Oracles for the Kirchhoff system behind
+analysis.effective_sheet_resistance.  The direct solves, for small grids in
+test_network and the acceptance suite, assemble the full nx*ny system node
+by node, so keep them to a few hundred cells (the exact solve to a hundred
+or so).  The planar dual (dual_bonds) checks a solve of any size."""
 
 from fractions import Fraction
 
@@ -74,3 +74,25 @@ def exact_sheet_resistance(sigma, axis: str) -> Fraction:
         V[p] = (b[p] - sum(A[p, c] * V[c] for c in range(p + 1, min(n, p + w)))) / A[p, p]
     current = sum(g * (1 - V[i * nx]) for i, g in enumerate(gl))
     return Fraction(ny, nx) / current
+
+
+def dual_bonds(gh, gv, gl, gr):
+    """The planar dual of each left/right network of a stack, in the bond
+    stacks analysis._electrode_currents takes: gh (k, ny, nx-1), gv
+    (k, ny-1, nx), gl and gr (k, ny), ny >= 2.
+
+    A dual node sits on each face between two rows of cells, in each of the
+    nx + 1 gaps of a row (electrode, cell, ..., cell, electrode); its
+    electrodes are the outer faces above the top row and below the bottom
+    row, and each dual bond crosses one primal bond g with conductance 1/g
+    (Brooks, Smith, Stone & Tutte, Duke Math. J. 7, 312 (1940)).  With
+    cols = [gl, gh, gr], gap c's vertical dual bonds are 1/cols[1:-1, c],
+    its top and bottom electrode bonds 1/cols[0, c] and 1/cols[-1, c], and
+    face row i's horizontal dual bonds are 1/gv[i, :].  The dual is
+    returned transposed, as a left/right network of (nx + 1) x (ny - 1)
+    nodes, so the two-terminal conductances satisfy G * G_dual = 1.
+    """
+    cols = np.concatenate([gl[..., None], gh, gr[..., None]], axis=-1)
+    inv = 1.0 / cols
+    return (np.swapaxes(inv[:, 1:-1, :], 1, 2), np.swapaxes(1.0 / gv, 1, 2),
+            inv[:, 0, :], inv[:, -1, :])

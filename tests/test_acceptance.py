@@ -28,6 +28,7 @@ from spinodalkit.transport import (CONSTANTS, free_electron_params,
                                    sheet_kinetic_inductance,
                                    specific_inductance)
 from dense_oracle import dense_sheet_resistance
+from test_network import DUALITY_BOUND, duality_error
 
 
 @pytest.fixture(scope="module")
@@ -76,19 +77,31 @@ def test_c04_coarsening(run256):
     assert var > 0.05
 
 
-def test_analyze_256_report_is_byte_identical_across_threads(run256, tmp_path):
+def test_analyze_256_report_is_byte_identical_across_threads(run256, tmp_path,
+                                                            set_workers):
     # criterion 14 for `analyze`: the threaded R_eff solves of a coarsened
     # 256^2 map write the same report as the serial ones
     snap = tmp_path / "snap_t500.csv"
     write_snapshot_csv(run256.snapshots[500.0], snap)
     reports = []
-    for threads in ("1", "2", "4"):
-        out = tmp_path / threads
-        assert cli.main(["analyze", "--in", str(snap), "--out", str(out),
-                         "--threads", threads]) == 0
+    for workers in (1, 2, 4):
+        set_workers(workers)
+        out = tmp_path / str(workers)
+        assert cli.main(["analyze", "--in", str(snap), "--out", str(out)]) == 0
         reports.append((out / "report.csv").read_bytes())
     assert reports[0] == reports[1] == reports[2]
-    print("analyze: 256^2 report byte-identical across --threads 1/2/4")
+    print("analyze: 256^2 report byte-identical on 1, 2 and 4 pool workers")
+
+
+def test_planar_duality_on_the_coarsened_128_run(run128):
+    # R_eff's exact oracle at a size no direct solve reaches in the suite:
+    # the network and its planar dual have conductances G G* = 1
+    for contrast, bound in DUALITY_BOUND.items():
+        sigma = np.where(run128.final.values >= 0.5, 1.0, 1.0 / contrast)
+        errors = [duality_error(sigma, axis) for axis in ("x", "y")]
+        print(f"duality: |G G* - 1| = {errors[0]:.2e} / {errors[1]:.2e} "
+              f"at contrast {contrast:g} (128^2, t=50)")
+        assert max(errors) <= bound
 
 
 def test_c05_kinetic_inductance():

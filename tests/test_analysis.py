@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from spinodalkit import analysis
 from spinodalkit.analysis import (REPORT_HEADER, ClusterLabeling,
-                                  NoStructureError, analyze_field,
+                                  analyze_field,
                                   analyze_fields, characteristic_length,
                                   effective_sheet_resistance,
                                   label_clusters, percolation_threshold_mc,
@@ -45,8 +45,9 @@ def test_characteristic_length_invariances():
 
 
 def test_characteristic_length_needs_structure():
-    with pytest.raises(NoStructureError):
-        characteristic_length(field(np.full((16, 16), 0.5)))
+    # a constant field has no finite length scale
+    for value in (0.5, 0.48, 0.0):
+        assert characteristic_length(field(np.full((16, 12), value))) == np.inf
 
 
 def test_phase_map_threshold_and_fraction():
@@ -420,14 +421,14 @@ def test_analyze_field_and_report_csv(tmp_path):
     assert parts[5] in {"0", "1"} and parts[6] in {"0", "1"}
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3, 8])
-def test_analyze_fields_rows_are_in_input_order(threads):
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_analyze_fields_rows_are_in_input_order(set_workers, workers):
     # fields of different shapes, so a row or axis taken from the wrong
     # solve cannot match the direct calls
     items = [(float(t), gaussian_field(GridSpec(nx, ny), 0.45, 0.01, seed=t))
              for t, (nx, ny) in enumerate([(16, 12), (12, 20), (24, 16)])]
-    rows = analyze_fields(items, x_c=0.5, sigma_ti=2.0, sigma_al=1e-3,
-                          threads=threads)
+    set_workers(workers)
+    rows = analyze_fields(items, x_c=0.5, sigma_ti=2.0, sigma_al=1e-3)
     assert [r.time for r in rows] == [0.0, 1.0, 2.0]
     for row, (t, f) in zip(rows, items):
         assert row == analyze_field(f, t, x_c=0.5, sigma_ti=2.0, sigma_al=1e-3)
@@ -436,13 +437,14 @@ def test_analyze_fields_rows_are_in_input_order(threads):
         assert row.R_eff_y == effective_sheet_resistance(cmap, "y")
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_analyze_fields_stacks_same_shape_solves(threads):
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_analyze_fields_stacks_same_shape_solves(set_workers, workers):
     # 40 > 32: the block inverse runs, and the eight solves share one shape,
-    # so they are swept in stacks whose cut depends on `threads`
+    # so they are swept in stacks whose cut depends on `workers`
     items = [(float(t), gaussian_field(GridSpec(40, 40), 0.47, 0.01, seed=30 + t))
              for t in range(4)]
-    rows = analyze_fields(items, threads=threads)
+    set_workers(workers)
+    rows = analyze_fields(items)
     for row, (t, f) in zip(rows, items):
         cmap = np.where(f.values >= 0.5, 1.0, 1e-4)
         assert row.R_eff_x == effective_sheet_resistance(cmap, "x")
@@ -450,9 +452,7 @@ def test_analyze_fields_stacks_same_shape_solves(threads):
 
 
 def test_analyze_fields_edge_cases():
-    assert analyze_fields([], threads=1) == analyze_fields([], threads=2) == []
-    with pytest.raises(ValueError, match="thread count"):
-        analyze_fields([], threads=0)
+    assert analyze_fields([]) == []
 
     def unread():
         raise AssertionError("a field was read")

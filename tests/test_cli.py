@@ -1,8 +1,10 @@
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import inspect
 import io
+import json
 import os
 import subprocess
 import sys
@@ -188,6 +190,31 @@ def test_cli_import_leaves_scipy_special_unloaded(tmp_path):
         assert set(out.splitlines()[-1].split()) == expected, argv
 
 
+def test_no_subcommand_loads_a_heavy_scipy_submodule(tmp_path, config_path):
+    # every subcommand, one after another in one fresh process: the package
+    # uses numpy, scipy.special and scipy.ndimage, and none of these scipy
+    # submodules, each of which costs 20-47 MB and 0.2-0.5 s to import
+    snaps = str(tmp_path / "snaps")
+    calls = [["simulate", "--config", str(config_path), "--out", snaps],
+             ["analyze", "--in", snaps, "--out", snaps],
+             ["render", "--in", snaps, "--out", snaps],
+             *([*argv, "--out", str(tmp_path / name)]
+               for name, argv in _film_commands(tmp_path).items())]
+    code = textwrap.dedent("""
+        import json, sys
+        from spinodalkit import cli
+        codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+        heavy = ("scipy.fft", "scipy.linalg", "scipy.sparse", "scipy.optimize")
+        print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(calls)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    codes, loaded = json.loads(out.splitlines()[-1])
+    assert codes == [0] * len(calls)
+    assert loaded == []
+
+
 def test_parser_is_built_on_first_main_call_then_reused(tmp_path):
     # counts argparse parsers constructed: none at import, one tree for
     # several main() calls, and a fresh tree from every build_parser()
@@ -282,10 +309,12 @@ def test_unknown_flag_is_usage_error():
     assert info.value.code == 1
 
 
-def test_bad_threads_value_is_usage_error():
-    with pytest.raises(SystemExit) as info:
-        cli.main(["simulate", "--threads", "0"])
-    assert info.value.code == 1
+def test_bad_threads_value_is_usage_error(tmp_path):
+    # the flag changes nothing, but every subcommand still checks it
+    for argv in (["simulate"], ["analyze", "--in", str(tmp_path)]):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--threads", "0"])
+        assert info.value.code == 1
 
 
 @pytest.mark.parametrize("name,call,leading", [
@@ -562,7 +591,6 @@ def test_overflowing_step_index_is_data_error(tmp_path, capsys, text, message):
 
 EXIT_CODES = [
     (solver.StabilityError("diverged"), 3), (analysis.LinearSolveError("singular"), 3),
-    (analysis.NoStructureError("constant field"), 3),
     (fitting.SingularFitError("singular", 1e20), 3), (np.linalg.LinAlgError("singular"), 3),
     (DataFormatError("bad row"), 2), (ConfigError("bad key"), 2),
     (solver.TimeStepError("bad dt"), 2), (ValueError("bad value"), 2),
@@ -597,14 +625,14 @@ def test_analyze_snapshot_directory(tmp_path, config_path, capsys):
 
 
 def test_analyze_report_is_byte_identical_across_runs_and_threads(
-        tmp_path, config_path):
+        tmp_path, config_path, set_workers):
     snaps = tmp_path / "snaps"
     cli.main(["simulate", "--config", str(config_path), "--out", str(snaps)])
     reports = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "2"), ("d", "2"), ("e", "4")):
+    for name, workers in (("a", 1), ("b", 1), ("c", 2), ("d", 2), ("e", 4)):
+        set_workers(workers)
         rep = tmp_path / name
-        assert cli.main(["analyze", "--in", str(snaps), "--out", str(rep),
-                         "--threads", threads]) == 0
+        assert cli.main(["analyze", "--in", str(snaps), "--out", str(rep)]) == 0
         reports.append((rep / "report.csv").read_bytes())
     assert all(r == reports[0] for r in reports)
 
@@ -614,16 +642,16 @@ def test_analyze_report_is_byte_identical_across_runs_and_threads(
 ANALYZE_64_GOLDEN = "753db2574b885bc615e12aa4ae09aadaa05d8939be4a8d4eef939ebce6ddb094"
 
 
-def test_analyze_64_report_matches_golden_hash(tmp_path):
+def test_analyze_64_report_matches_golden_hash(tmp_path, set_workers):
     ini = tmp_path / "run.ini"
     ini.write_text("[grid]\nnx = 64\nny = 64\n\n[init]\nseed = 11\n\n"
                    "[solver]\nsnapshot_times = 0, 10, 50\n")
     snaps = tmp_path / "snaps"
     assert cli.main(["simulate", "--config", str(ini), "--out", str(snaps)]) == 0
-    for threads in ("1", "2", "4"):
-        rep = tmp_path / threads
-        assert cli.main(["analyze", "--in", str(snaps), "--out", str(rep),
-                         "--threads", threads]) == 0
+    for workers in (1, 2, 4):
+        set_workers(workers)
+        rep = tmp_path / str(workers)
+        assert cli.main(["analyze", "--in", str(snaps), "--out", str(rep)]) == 0
         got = hashlib.sha256((rep / "report.csv").read_bytes()).hexdigest()
         assert got == ANALYZE_64_GOLDEN
 
@@ -631,70 +659,99 @@ def test_analyze_64_report_matches_golden_hash(tmp_path):
 def test_analyze_threads_run_reff_solves_concurrently(tmp_path, config_path,
                                                       monkeypatch):
     # each stack of solves waits until a second one is running: only a pool
-    # of two workers gets past the barrier, a serial run breaks it
+    # of two workers gets past the barrier, a serial run breaks it.  On 2
+    # usable cores, one BLAS thread gives a pool of two; BLAS left at one
+    # thread per core gives none
+    monkeypatch.setattr(analysis, "_usable_cores", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     snaps = tmp_path / "snaps"
     cli.main(["simulate", "--config", str(config_path), "--out", str(snaps)])
     sweep = analysis._electrode_currents
     barrier = threading.Barrier(2, timeout=30.0)
     threads_seen = set()
 
-    def rendezvous(s):
+    def rendezvous(*bonds):
         threads_seen.add(threading.get_ident())
         barrier.wait()
-        return sweep(s)
+        return sweep(*bonds)
 
     monkeypatch.setattr(analysis, "_electrode_currents", rendezvous)
-    assert cli.main(["analyze", "--in", str(snaps), "--out", str(tmp_path / "a"),
-                     "--threads", "2"]) == 0
+    assert cli.main(["analyze", "--in", str(snaps), "--out", str(tmp_path / "a")]) == 0
     assert len(threads_seen) == 2 and threading.get_ident() not in threads_seen
     barrier = threading.Barrier(2, timeout=0.2)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
     with pytest.raises(threading.BrokenBarrierError):
-        cli.main(["analyze", "--in", str(snaps), "--out", str(tmp_path / "b"),
-                  "--threads", "1"])
+        cli.main(["analyze", "--in", str(snaps), "--out", str(tmp_path / "b")])
     assert not (tmp_path / "b" / "report.csv").exists()
 
 
-@pytest.mark.parametrize("env,threads,cores,warns", [
-    ({}, "2", 2, True),         # BLAS unset: one thread per core
-    ({"OPENBLAS_NUM_THREADS": "1"}, "2", 2, False),
-    ({"OMP_NUM_THREADS": "1"}, "2", 2, False),
+@pytest.mark.parametrize("env,cores,workers", [
+    ({}, 2, 1),                 # BLAS unset: one thread per core, so no pool
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OMP_NUM_THREADS": "1"}, 2, 2),
     ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x", "MKL_NUM_THREADS": "2"},
-     "2", 2, True),             # the first positive integer counts
-    ({"OPENBLAS_NUM_THREADS": "2"}, "4", 4, False),   # 2 solves: 2 workers, not 4
-    ({"OPENBLAS_NUM_THREADS": "3"}, "4", 4, True),
-    ({"OPENBLAS_NUM_THREADS": "4"}, "1", 2, False),   # no pool, only BLAS threads
-    ({"OPENBLAS_NUM_THREADS": "2"}, "2", None, True),  # no affinity call: cpu_count
-], ids=["unset", "openblas_1", "omp_1", "first_positive", "pool_capped", "pool_capped_over",
-        "serial", "cpu_count"])
+     4, 2),                     # the first positive integer counts, MKL's last
+    ({"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}, 4, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, 2),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 4, 1),
+    ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),   # more BLAS threads than cores
+    ({"OPENBLAS_NUM_THREADS": "2"}, None, 2),  # no affinity call: cpu_count
+], ids=["unset", "openblas_1", "omp_1", "first_positive", "openblas_before_mkl",
+        "pool_capped", "pool_capped_over", "serial", "cpu_count"])
 def test_analyze_warns_when_pool_and_blas_threads_oversubscribe(
-        tmp_path, monkeypatch, capsys, env, threads, cores, warns):
+        tmp_path, monkeypatch, capsys, env, cores, workers):
+    # the name predates the rule it now checks: analyze sizes its R_eff pool
+    # to max(1, usable cores // BLAS threads), so it never oversubscribes
+    # and has nothing to warn about; the report is that of a serial run
     snap = tmp_path / "snap_t1.csv"
     write_snapshot_csv(ScalarField2D(GridSpec(16, 16),
                                      np.random.default_rng(5).uniform(0, 1, (16, 16))), snap)
+    pools = []
+    map_in_order = analysis._map_in_order
+
+    def record(fn, stacks, n):
+        pools.append(n)
+        return map_in_order(fn, stacks, n)
 
     def analyze(name):
-        assert cli.main(["analyze", "--in", str(snap), "--out", str(tmp_path / name),
-                         "--threads", threads]) == 0
+        assert cli.main(["analyze", "--in", str(snap), "--out", str(tmp_path / name)]) == 0
         return capsys.readouterr(), (tmp_path / name / "report.csv").read_bytes()
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    (quiet_out, quiet_err), quiet_report = analyze("serial_blas")
-    assert quiet_err == ""
+    monkeypatch.setattr(analysis, "_map_in_order", record)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    (serial_out, serial_err), serial_report = analyze("serial")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     if cores is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
                             raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     (out, err), report = analyze("run")
-    assert (out.replace("run", "serial_blas"), report) == (quiet_out, quiet_report)
-    assert ("BLAS threads exceed" in err) == warns
-    assert err.count("\n") == warns
+    assert pools == [1, workers]
+    assert (out.replace("run", "serial"), report) == (serial_out, serial_report)
+    assert serial_err == err == ""
+
+
+@pytest.mark.parametrize("variance", ["0", "1e-300"])
+def test_constant_field_gets_an_infinite_length(tmp_path, variance):
+    # both variances leave 0.48 + sqrt(variance) * z at 0.48 in every cell,
+    # and a constant field stays constant: no finite length scale, no Ti
+    ini = tmp_path / "flat.ini"
+    ini.write_text(f"[grid]\nnx = 16\nny = 16\n[init]\nvariance = {variance}\n"
+                   "[solver]\nsnapshot_times = 0, 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
+    assert cli.main(["analyze", "--config", str(ini), "--in", str(out), "--out", str(out)]) == 0
+    with open(out / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["time"] for row in rows] == ["0.0", "1.0"]
+    for row in rows:
+        assert (row["char_length"], row["ti_fraction"]) == ("inf", "0.0")
 
 
 def test_analyze_non_power_of_two_grid(tmp_path):
@@ -707,16 +764,17 @@ def test_analyze_non_power_of_two_grid(tmp_path):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_analyze_without_conducting_path_is_numeric_failure(tmp_path, capsys, threads):
+@pytest.mark.parametrize("workers", [1, 2], ids=["1", "2"])
+def test_analyze_without_conducting_path_is_numeric_failure(tmp_path, capsys,
+                                                            set_workers, workers):
     # every cell is Al-rich and 1e-310 bonds underflow to zero conductance
     ini = tmp_path / "dead.ini"
     ini.write_text(CONFIG.replace("nx = 32", "nx = 16").replace("ny = 32", "ny = 16")
                    + "\n[analysis]\nx_c = 0.99\nsigma_al = 1e-310\n")
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
-    code = cli.main(["analyze", "--config", str(ini), "--in", str(out),
-                     "--out", str(out), "--threads", threads])
+    set_workers(workers)
+    code = cli.main(["analyze", "--config", str(ini), "--in", str(out), "--out", str(out)])
     assert code == 3
     assert "Kirchhoff" in capsys.readouterr().err
     assert not (out / "report.csv").exists()
