@@ -37,6 +37,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from . import fields as _fields
 from .fields import NumericalFailure, ScalarField2D, write_table_csv
 
 __all__ = [
@@ -146,15 +147,6 @@ def spans(labeling: ClusterLabeling, axis: str) -> bool:
 # Stacks and workers
 # ---------------------------------------------------------------------------
 
-def _usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity set, or
-    os.cpu_count() where the platform has no affinity call."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _blas_threads() -> int:
     """Threads each BLAS call may use: the first positive integer among
     OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS, else one per
@@ -166,7 +158,7 @@ def _blas_threads() -> int:
             continue
         if n > 0:
             return n
-    return _usable_cores()
+    return _fields._usable_cores()
 
 
 def _cut(jobs: list, per_stack: int, workers: int) -> list[list]:
@@ -349,7 +341,7 @@ def percolation_threshold_mc(L: int, trials: int, seed: int) -> tuple[float, flo
     if trials < 50:
         raise ValueError(f"trial count must be >= 50, got {trials}")
     children = np.random.SeedSequence(seed).spawn(trials)
-    workers = _usable_cores()
+    workers = _fields._usable_cores()
     stacks = _cut(children, max(1, _LABEL_CHUNK_CELLS // (L * L)), workers)
 
     def onsets(stack) -> np.ndarray:
@@ -496,8 +488,10 @@ def effective_sheet_resistance(sigma: np.ndarray, axis: str) -> float:
     finite conductivities, between electrodes on the edges `axis` joins.
 
     Bond conductances are harmonic means of adjacent cell sigma; electrode
-    coupling uses the half-cell bond 2*sigma so a uniform map gives exactly
-    1/sigma per square.  The raw V/I resistance is normalized by
+    coupling uses the half-cell bond 2*sigma so a uniform map gives 1/sigma
+    per square up to the elimination's rounding, which grows with the map:
+    a 16^2 map of sigma = 1e-4 gives 10000.000000000022, a 64^2 map of
+    sigma = 1 gives 1 + 8.0e-15.  The raw V/I resistance is normalized by
     width/length to squares.  Raises LinearSolveError when the network
     carries no usable current: a singular block, or a current that is not
     finite and positive.
@@ -581,7 +575,7 @@ def analyze_fields(items, x_c: float = 0.5, sigma_ti: float = 1.0,
     oriented = [_oriented(s, axis) for s in sigmas for axis in ("x", "y")]
     # pool threads, each running BLAS on _blas_threads() threads, that ask for
     # more threads than there are usable cores are slower than one worker
-    workers = max(1, _usable_cores() // _blas_threads())
+    workers = max(1, _fields._usable_cores() // _blas_threads())
     stacks = _reff_stacks([s.shape for s in oriented], workers)
 
     def solve(stack: list[int]) -> list[float]:

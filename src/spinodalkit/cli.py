@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--threads", type=_int_in(1, math.inf), default=1,
                        help="accepted and checked, but changes nothing: "
-                            "analyze sizes its own pool")
+                            "simulate and analyze size their own workers")
         return p
 
     p_sim = add("simulate", _cmd_simulate, "run the phase-field solver", config=True)

@@ -104,33 +104,45 @@ def gaussian_field(spec: GridSpec, mean: float, variance: float, seed: int) -> S
     return ScalarField2D(spec, values.reshape(spec.ny, spec.nx))
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity set, or
+    os.cpu_count() where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _laplacian_values(v: np.ndarray, h: float, out: np.ndarray,
                       scratch: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """5-point periodic Laplacian of a C-contiguous (ny, nx) array, into `out`.
+    """5-point Laplacian of the rows of `v` between its first and last, into
+    `out`: `v` is a C-contiguous (m + 2, nx) array whose first and last rows
+    are the halo, the rows just outside the m that `out` gets (for a whole
+    periodic field, its last row above it and its first below).  Columns
+    wrap periodically.
 
     The sum is ((((v[i-1] + v[i+1]) + v[j-1]) + v[j+1]) - 4 v) / h^2 in that
     order, the order of the np.roll formula, so results are bit-identical to
     it.  Every large operation runs on contiguous memory: north+south from
     row slabs, then west and east as shifts by one element of the flattened
-    array.  Those shifts wrap each row's edge columns into the neighbouring
+    rows.  Those shifts wrap each row's edge columns into the neighbouring
     row, so both edge columns are rebuilt from their north+south sums, saved
-    in `edge`, a (ny, 2) array.  `out` must be C-contiguous and may not
-    overlap `v`.  4v is written into `scratch` after the last read of `v`,
-    so `scratch` may be `v` itself, which is then left holding 4v.
+    in `edge`, an (m, 2) array.  `out` must be C-contiguous and may not
+    overlap `v`.  4v is written into `scratch`, (m, nx), after the last read
+    of `v`, so `scratch` may be v[1:-1] itself, which is then left holding 4v.
     """
-    np.add(v[:-2], v[2:], out=out[1:-1])
-    np.add(v[-1], v[1], out=out[0])
-    np.add(v[-2], v[0], out=out[-1])
+    c = v[1:-1]
+    np.add(v[:-2], v[2:], out=out)
     edge[:, 0] = out[:, 0]
     edge[:, 1] = out[:, -1]
-    flat, vf = out.reshape(-1), v.reshape(-1)
-    flat[1:] += vf[:-1]
-    flat[:-1] += vf[1:]
-    np.add(edge[:, 0], v[:, -1], out=out[:, 0])
-    out[:, 0] += v[:, 1]
-    np.add(edge[:, 1], v[:, -2], out=out[:, -1])
-    out[:, -1] += v[:, 0]
-    np.multiply(v, 4.0, out=scratch)
+    flat, cf = out.reshape(-1), c.reshape(-1)
+    flat[1:] += cf[:-1]
+    flat[:-1] += cf[1:]
+    np.add(edge[:, 0], c[:, -1], out=out[:, 0])
+    out[:, 0] += c[:, 1]
+    np.add(edge[:, 1], c[:, -2], out=out[:, -1])
+    out[:, -1] += c[:, 0]
+    np.multiply(c, 4.0, out=scratch)
     out -= scratch
     if h != 1.0:
         out /= h * h

@@ -14,11 +14,11 @@ def pytest_collection_modifyitems(items):
 
 @pytest.fixture
 def set_workers(monkeypatch):
-    """set_workers(n): `analysis` sees n usable cores and one BLAS thread,
+    """set_workers(n): the package sees n usable cores and one BLAS thread,
     so analyze_fields runs its R_eff stacks on up to n pool threads."""
-    from spinodalkit import analysis
+    from spinodalkit import fields
 
     def set_workers(n: int) -> None:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(analysis, "_usable_cores", lambda: n)
+        monkeypatch.setattr(fields, "_usable_cores", lambda: n)
     return set_workers

@@ -188,7 +188,7 @@ PINNED_PERCOLATION_C13 = {(256, 200, 7): (0.5931243666930983, 0.0005199187860314
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_percolation_estimates_do_not_depend_on_the_core_count(monkeypatch, cores):
-    monkeypatch.setattr(analysis, "_usable_cores", lambda: cores)
+    monkeypatch.setattr("spinodalkit.fields._usable_cores", lambda: cores)
     for args, pinned in {**PINNED_PERCOLATION, **PINNED_PERCOLATION_C13}.items():
         assert percolation_threshold_mc(*args) == pinned
 
@@ -196,7 +196,7 @@ def test_percolation_estimates_do_not_depend_on_the_core_count(monkeypatch, core
 def test_percolation_stacks_run_on_a_thread_per_core(monkeypatch):
     # the first stack on each thread waits until a second thread has one:
     # only a pool of two workers gets past the barrier
-    monkeypatch.setattr(analysis, "_usable_cores", lambda: 2)
+    monkeypatch.setattr("spinodalkit.fields._usable_cores", lambda: 2)
     spanning_onsets = analysis._spanning_onsets
     barrier = threading.Barrier(2, timeout=30.0)
     idents = set()
@@ -216,7 +216,7 @@ def test_percolation_labels_stacks_of_at_most_2_16_cells(monkeypatch):
     # every label call holds at most 16 trials of 64^2 (2^16 trial cells),
     # each a 64-row mask followed by one blank row, and only trials whose
     # onset is still open; one worker keeps the recorded calls in order
-    monkeypatch.setattr(analysis, "_usable_cores", lambda: 1)
+    monkeypatch.setattr("spinodalkit.fields._usable_cores", lambda: 1)
     stacks, results, calls = [], [], []
     spanning_onsets, label = analysis._spanning_onsets, scipy.ndimage.label
 

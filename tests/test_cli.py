@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinodalkit import analysis, cli, fitting, solver
+from spinodalkit import analysis, cli, fields, fitting, solver
 from spinodalkit.config import ConfigError, RunConfig, section
 from spinodalkit.fields import (DataFormatError, GridSpec, ScalarField2D, gaussian_field,
                                write_snapshot_csv)
@@ -662,7 +662,7 @@ def test_analyze_threads_run_reff_solves_concurrently(tmp_path, config_path,
     # of two workers gets past the barrier, a serial run breaks it.  On 2
     # usable cores, one BLAS thread gives a pool of two; BLAS left at one
     # thread per core gives none
-    monkeypatch.setattr(analysis, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(fields, "_usable_cores", lambda: 2)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     snaps = tmp_path / "snaps"
     cli.main(["simulate", "--config", str(config_path), "--out", str(snaps)])

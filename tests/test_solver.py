@@ -1,11 +1,14 @@
+import errno
 import hashlib
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spinodalkit import cli, solver
+from spinodalkit import cli, fields, solver
 from spinodalkit.fields import (GridSpec, ScalarField2D, gaussian_field,
                                 read_snapshot_csv, snapshot_filename,
                                 snapshot_time, write_snapshot_csv)
@@ -17,7 +20,8 @@ from spinodalkit.thermo import d2gibbs, dgibbs, free_energy
 
 def chemical_potential(v, h, kappa):
     mu, lap = np.empty(v.shape), np.empty(v.shape)
-    return _chemical_potential(v, h, kappa, mu, lap, np.empty((v.shape[0], 2)))
+    return _chemical_potential(np.pad(v, ((1, 1), (0, 0)), mode="wrap"), h, kappa,
+                               mu, lap, np.empty((v.shape[0], 2)))
 
 
 def test_dt_defaults():
@@ -127,6 +131,7 @@ class FailingRule:
     def __init__(self, values, k):
         self.values, self.previous, self.k = values.copy(), None, k
         self.fields = [self.values]
+        self.closed = False
 
     def advance(self):
         if len(self.fields) < self.k:
@@ -135,7 +140,10 @@ class FailingRule:
             new = np.full_like(self.values, np.nan)
         self.previous, self.values = self.values, new
         self.fields.append(new)
-        return new
+        return new.min(), new.max()
+
+    def close(self):
+        self.closed = True
 
 
 def test_divergence_of_the_step_rule_reports_its_step_and_the_steps_before(monkeypatch):
@@ -161,6 +169,7 @@ def test_divergence_of_the_step_rule_reports_its_step_and_the_steps_before(monke
     for d in err.partial.diagnostics:
         assert d.mass == rule.fields[d.step].mean()
     assert np.array_equal(err.last_stable.values, rule.fields[k - 1])
+    assert rule.closed
 
 
 def test_chemical_potential_of_uniform_field():
@@ -326,8 +335,8 @@ def test_stability_error_fields_share_no_memory_and_stay_fixed():
     assert np.array_equal(err.last_stable.values, upto.final.values)
 
 
-def test_step_calls_go_through_the_module_attributes(monkeypatch):
-    # perfbench's tracer times the step's layers by patching these names
+def step_calls(monkeypatch) -> dict:
+    """The calls this process makes to the step's layers in 10 steps of 16^2."""
     calls = {}
     for name in ("_euler_step", "_laplacian_values", "dgibbs"):
         def counted(*a, _fn=getattr(solver, name), _name=name, **kw):
@@ -336,7 +345,169 @@ def test_step_calls_go_through_the_module_attributes(monkeypatch):
         monkeypatch.setattr(solver, name, counted)
     f = gaussian_field(GridSpec(16, 16), 0.48, 1e-3, seed=9)
     run(f, SolverParams(n_steps=10, snapshot_times=()))
-    assert calls == {"_euler_step": 10, "_laplacian_values": 20, "dgibbs": 10}
+    return calls
+
+
+def test_step_calls_go_through_the_module_attributes(monkeypatch):
+    # perfbench's tracer times the step's layers by patching these names
+    assert step_calls(monkeypatch) == {"_euler_step": 10, "_laplacian_values": 20,
+                                       "dgibbs": 10}
+
+
+@pytest.fixture
+def slabs(monkeypatch):
+    """slabs(k): the solver sees k usable cores and no floor on the cells of
+    a slab, so a grid of at least 2k rows steps in k slabs.  Returns the
+    list to which each rule built from then on adds its workers' pids."""
+    built, step_rule = [], solver._step_rule
+
+    def recorded(*a):
+        rule = step_rule(*a)
+        built.append([pid for pid, _, _ in rule._workers])
+        return rule
+    monkeypatch.setattr(solver, "_step_rule", recorded)
+
+    def slabs(k: int) -> list:
+        monkeypatch.setattr(solver, "_SLAB_CELLS", 1)
+        monkeypatch.setattr(fields, "_usable_cores", lambda: k)
+        built.clear()
+        return built
+    return slabs
+
+
+def outcome(res):
+    """Every bit of a result: snapshots, diagnostics and final field."""
+    return ({t: s.values.tobytes() for t, s in res.snapshots.items()},
+            repr(res.diagnostics), res.final and res.final.values.tobytes())
+
+
+def no_children() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_step_calls_in_two_slabs_are_the_parents_slab(monkeypatch, slabs):
+    # the worker steps its own slab; the parent's calls are those of one
+    built = slabs(2)
+    assert step_calls(monkeypatch) == {"_euler_step": 10, "_laplacian_values": 20,
+                                       "dgibbs": 10}
+    assert [len(pids) for pids in built] == [1]
+
+
+@pytest.mark.parametrize("nx,ny", [(37, 16), (53, 64)])
+def test_run_is_bit_identical_in_one_two_and_three_slabs(slabs, nx, ny):
+    # uneven splits: rows 0, 5, 10, 16 and 0, 21, 42, 64 in three slabs
+    f = gaussian_field(GridSpec(nx, ny, 1.3), 0.48, 1e-3, seed=nx)
+    params = SolverParams(n_steps=60, diag_stride=7, snapshot_times=(0.0, 0.05, 0.1))
+    outcomes = []
+    for k in (1, 2, 3):
+        built = slabs(k)
+        outcomes.append(outcome(run(f, params)))
+        assert len(built) == 1 and len(built[0]) == k - 1
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    assert no_children()
+
+
+def test_a_1000_squared_run_is_bit_identical_in_two_slabs(slabs):
+    f = gaussian_field(GridSpec(1000, 1000), 0.48, 1e-3, seed=1)
+    params = SolverParams(n_steps=20, diag_stride=10, snapshot_times=(0.0, 0.05))
+    outcomes = []
+    for k in (1, 2):
+        built = slabs(k)
+        outcomes.append(outcome(run(f, params)))
+        assert [len(pids) for pids in built] == [k - 1]
+    assert outcomes[1] == outcomes[0]
+
+
+def test_divergence_is_the_same_in_two_slabs(slabs):
+    f = gaussian_field(GridSpec(32, 32), 0.48, 1e-3, seed=0)
+    params = SolverParams(dt=0.06, snapshot_times=(0.0, 0.06, 0.12, 600.0), force_dt=True)
+    seen = []
+    for k in (1, 2):
+        built = slabs(k)
+        with pytest.raises(StabilityError) as info:
+            run(f, params)
+        assert len(built[0]) == k - 1
+        err = info.value
+        seen.append((err.step, str(err), outcome(err.partial), err.last_stable.values.tobytes()))
+    assert seen[1] == seen[0]
+    assert no_children()
+
+
+def test_no_worker_outlives_a_run(slabs, monkeypatch):
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+    f = gaussian_field(GridSpec(32, 32), 0.48, 1e-3, seed=0)
+    built = slabs(2)
+    run(f, SolverParams(n_steps=5, snapshot_times=()))
+    assert no_children()
+    with pytest.raises(StabilityError):
+        run(f, SolverParams(dt=0.06, n_steps=1000, snapshot_times=(), force_dt=True))
+    assert no_children()
+    diag = solver._diag
+
+    def failing_diag(vals, template, step, *a):
+        if step:
+            raise KeyError("diagnostics failed")
+        return diag(vals, template, step, *a)
+    monkeypatch.setattr(solver, "_diag", failing_diag)
+    with pytest.raises(KeyError):
+        run(f, SolverParams(n_steps=5, diag_stride=2, snapshot_times=()))
+    assert no_children()
+    assert [len(pids) for pids in built] == [1, 1, 1]
+    if fds is not None:
+        assert sorted(os.listdir("/proc/self/fd")) == sorted(fds)
+
+
+def test_a_killed_worker_stops_the_run(slabs, monkeypatch):
+    built, diag = slabs(2), solver._diag
+
+    def kill_at_step_2(vals, template, step, *a):
+        if step == 2:
+            os.kill(built[0][0], signal.SIGKILL)
+        return diag(vals, template, step, *a)
+
+    def hung(signum, frame):
+        raise TimeoutError("run waits on a dead worker")
+    monkeypatch.setattr(solver, "_diag", kill_at_step_2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        f = gaussian_field(GridSpec(32, 32), 0.48, 1e-3, seed=0)
+        with pytest.raises(ChildProcessError, match=r"solver worker \d+"):
+            run(f, SolverParams(n_steps=10, diag_stride=2, snapshot_times=()))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert no_children()
+
+
+@pytest.mark.parametrize("forks", [0, 1, None])
+def test_a_refused_fork_steps_in_one_slab(slabs, monkeypatch, forks):
+    # the second fork of three slabs fails, or the first, or os.fork is
+    # missing: the worker already started is stopped, and the field steps
+    # in one slab, with the same bits
+    f = gaussian_field(GridSpec(53, 64), 0.48, 1e-3, seed=2)
+    params = SolverParams(n_steps=30, diag_stride=7, snapshot_times=(0.0, 0.05))
+    slabs(1)
+    serial = outcome(run(f, params))
+    fork, started = os.fork, []
+
+    def limited_fork():
+        if len(started) == forks:
+            raise OSError(errno.EAGAIN, "fork refused")
+        started.append(1)
+        return fork()
+    if forks is None:
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", limited_fork)
+    built = slabs(3)
+    assert outcome(run(f, params)) == serial
+    assert built == [[]] and len(started) == (forks or 0)
+    assert no_children()
 
 
 def explicit_amplification(omega, dt, n):
@@ -408,3 +579,10 @@ def test_simulate_outputs_match_golden_hashes(tmp_path, config):
     assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert got == GOLDEN[config]
+
+
+@pytest.mark.parametrize("config", list(GOLDEN), ids=["32x24_h1.3", "16x16"])
+def test_simulate_outputs_match_golden_hashes_in_two_slabs(tmp_path, config, slabs):
+    built = slabs(2)
+    test_simulate_outputs_match_golden_hashes(tmp_path, config)
+    assert [len(pids) for pids in built] == [1]

@@ -129,7 +129,8 @@ def test_free_energy_gradient_is_chemical_potential(h):
         down[idx] -= delta
         grad[idx] = (free_energy(ScalarField2D(spec, up), kappa)
                      - free_energy(ScalarField2D(spec, down), kappa)) / (2 * delta)
-    mu = _chemical_potential(v, h, kappa, np.empty_like(v), np.empty_like(v), np.empty((6, 2)))
+    mu = _chemical_potential(np.pad(v, ((1, 1), (0, 0)), mode="wrap"), h, kappa,
+                             np.empty_like(v), np.empty_like(v), np.empty((6, 2)))
     assert_allclose(grad, mu * h * h, rtol=0, atol=1e-8)
 
 
