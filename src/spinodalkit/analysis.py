@@ -26,7 +26,9 @@ _cut and map it in order with _map_in_order.
 
 Clustering and spanning use non-periodic boundaries (electrodes break
 periodicity) even though the underlying composition field is periodic;
-the mismatch is deliberate and only affects edge-touching clusters.
+the mismatch is deliberate and only affects edge-touching clusters.  One
+test, _spanning, reads a map's first and last rows; R_eff keeps an axis's
+edges in columns (_oriented), so `spans` turns that map with .T.
 """
 
 from __future__ import annotations
@@ -126,8 +128,8 @@ def label_clusters(mask: np.ndarray) -> ClusterLabeling:
 
 
 def _oriented(a: np.ndarray, axis: str) -> np.ndarray:
-    """a 2-D grid array with `axis` along its rows, so columns 0 and -1 are
-    the two edges the axis joins (the y axis is transposed)."""
+    """a 2-D grid array with `axis` along its rows, so columns 0 and -1 are the
+    edges it joins (y is transposed), as R_eff needs; `spans` turns it to rows."""
     if axis == "x":
         return a
     if axis == "y":
@@ -135,12 +137,21 @@ def _oriented(a: np.ndarray, axis: str) -> np.ndarray:
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
+def _spanning(labels: np.ndarray, count: int) -> np.ndarray:
+    """Whether each image of a (k, m, n) label stack (labels 0..count, no
+    positive one in two images) has one positive label on its first and last rows."""
+    on_first = np.zeros(count + 1, dtype=bool)
+    on_first[labels[:, 0]] = True
+    on_first[0] = False
+    return on_first[labels[:, -1]].any(axis=1)
+
+
 def spans(labeling: ClusterLabeling, axis: str) -> bool:
     """True iff some single cluster touches both opposite edges along axis
-    ('x': left and right columns; 'y': top and bottom rows)."""
-    labels = _oriented(labeling.labels, axis)
-    common = np.intersect1d(labels[:, 0], labels[:, -1])
-    return bool((common > 0).any())
+    ('x': left and right columns; 'y': top and bottom rows).  _spanning
+    reads rows, so the map _oriented gives (edges in columns) is turned."""
+    turned = _oriented(labeling.labels, axis).T[None]
+    return bool(_spanning(turned, labeling.n_clusters)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +202,10 @@ _LABEL_CHUNK_CELLS = 2 ** 16
 _P_C = 0.592746
 
 
-# A field of n cells whose onset bracket holds at most n // _SWEEP_SHARE
-# ranks is finished by _sweep_onset instead of further labellings.  The
-# sweep holds the interpreter lock, so a wider one slows the thread pool
-# more than its saved labellings gain (BENCH_percolation_sweep.json)
+# A field of n cells is finished by _sweep_onset once its onset bracket holds
+# at most max(1, n // _SWEEP_SHARE) ranks.  The sweep holds the interpreter
+# lock, so a wider one slows the thread pool more than its saved labellings
+# gain (BENCH_percolation_sweep.json)
 _SWEEP_SHARE = 64
 
 
@@ -263,15 +274,16 @@ def _spanning_onsets(u: np.ndarray) -> np.ndarray:
     steps from the last one in the direction its result points, by a step
     that starts near the onset's spread (n**(5/8) / 2 ranks, from
     finite-size scaling with nu = 4/3) and doubles every round; the bracket
-    is then bisected.  Once a field's bracket holds at most
-    n // _SWEEP_SHARE ranks, _sweep_onset finishes it from the clusters of
-    its last non-spanning probe (an empty grid while it has none): the
-    window of cells v[lo - 1] < u <= v[hi] is chosen by value, so tied
+    is then bisected.  Every field ends in _sweep_onset, once its bracket
+    holds at most max(1, n // _SWEEP_SHARE) ranks (one rank included), from
+    the clusters of its last non-spanning probe (an empty grid while it has
+    none): the window v[lo - 1] < u <= v[hi] is chosen by value, so tied
     values give the onset the search would.
 
     Every round labels the fields whose onset is still open in one
     ndimage.label call on a 2-D image: their masks stacked as rows, with a
-    blank row under each so no cluster joins two fields.
+    blank row under each so no cluster joins two fields, which _spanning
+    reads by their first and last rows, as `spans` reads its turned map.
     """
     from scipy import ndimage
     k, ny, nx = u.shape
@@ -286,14 +298,12 @@ def _spanning_onsets(u: np.ndarray) -> np.ndarray:
     image = np.zeros((k, ny + 1, nx), dtype=bool)   # row ny stays blank
     base = np.zeros((k, ny, nx), dtype=np.int32)    # labels of u <= v[lo - 1]
     while True:
-        done = lo == hi
-        onsets[live[done]] = v[done, lo[done]]
-        sweep = ~done & (hi - lo < n // _SWEEP_SHARE)
+        sweep = hi - lo < max(1, n // _SWEEP_SHARE)
         for i in np.flatnonzero(sweep):
             above = v[i, lo[i] - 1] if lo[i] else -np.inf
             onsets[live[i]] = _sweep_onset(u[i], base[i], above, v[i, hi[i]])
-        if (finished := done | sweep).any():
-            keep = ~finished
+        if sweep.any():
+            keep = ~sweep
             live, u, v, lo, hi, probe, base = (
                 a[keep] for a in (live, u, v, lo, hi, probe, base))
         if not live.size:
@@ -303,14 +313,9 @@ def _spanning_onsets(u: np.ndarray) -> np.ndarray:
         np.less_equal(u, v[np.arange(live.size), m][:, None, None],
                       out=stack[:, :ny])
         labels, count = ndimage.label(stack.reshape(-1, nx))
-        labels = labels.reshape(stack.shape)
-        # a bottom-row label that is also on some top row is on its own
-        # field's top row: the blank rows keep labels within one field
-        on_top = np.zeros(count + 1, dtype=bool)
-        on_top[labels[:, 0]] = True
-        on_top[0] = False
-        span = on_top[labels[:, ny - 1]].any(axis=1)
-        np.copyto(base, labels[:, :ny], where=~span[:, None, None])
+        labels = labels.reshape(stack.shape)[:, :ny]
+        span = _spanning(labels, count)
+        np.copyto(base, labels, where=~span[:, None, None])
         hi = np.where(span, m, hi)
         lo = np.where(span, lo, m + 1)
         # lo > 0 once a probe failed to span, hi < n - 1 once one spanned

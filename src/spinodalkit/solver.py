@@ -346,12 +346,10 @@ def _check_sane(lo: float, hi: float, step: int, time: float) -> None:
 
 
 def _diag(vals: np.ndarray, template: ScalarField2D, step: int, dt: float,
-          kappa: float) -> DiagnosticsRecord:
+          kappa: float, lo: float, hi: float) -> DiagnosticsRecord:
     return DiagnosticsRecord(
-        step=step, time=step * dt,
-        mass=float(vals.mean()),
-        free_energy=free_energy(template.with_values(vals), kappa),
-        min=float(vals.min()), max=float(vals.max()))
+        step=step, time=step * dt, mass=float(vals.mean()),
+        free_energy=free_energy(template.with_values(vals), kappa), min=lo, max=hi)
 
 
 def run(init: ScalarField2D, params: SolverParams) -> SimulationResult:
@@ -383,15 +381,15 @@ def run(init: ScalarField2D, params: SolverParams) -> SimulationResult:
     result = SimulationResult(dt=dt, n_steps=n_steps)
     rule = _step_rule(params, init.values, spec.h, dt)
 
-    def record(step: int, vals: np.ndarray) -> None:
-        result.diagnostics.append(_diag(vals, init, step, dt, params.kappa))
+    def record(step: int, vals: np.ndarray, lo: float, hi: float) -> None:
+        result.diagnostics.append(_diag(vals, init, step, dt, params.kappa, lo, hi))
 
     def snapshot(step: int, vals: np.ndarray) -> None:
         for t in snap_steps.get(step, ()):
             result.snapshots[t] = init.with_values(vals.copy())
 
     try:
-        record(0, rule.values)
+        record(0, rule.values, float(init.values.min()), float(init.values.max()))
         snapshot(0, rule.values)
         for step in range(1, n_steps + 1):
             lo, hi = rule.advance()
@@ -402,7 +400,7 @@ def run(init: ScalarField2D, params: SolverParams) -> SimulationResult:
                 err.last_stable = init.with_values(rule.previous.copy())
                 raise
             if step % params.diag_stride == 0 or step == n_steps or step in snap_steps:
-                record(step, rule.values)
+                record(step, rule.values, lo, hi)
             snapshot(step, rule.values)
         result.final = init.with_values(rule.values.copy())
     finally:

@@ -25,10 +25,11 @@ __all__ = [
 ]
 
 
-def gibbs(x):
-    """Bulk free energy G(x); evaluation outside [0,1] is allowed."""
+def gibbs(x, out: np.ndarray | None = None):
+    """Bulk free energy G(x) = ((1 - x) x)^2, also outside [0,1]; `out` as for dgibbs."""
     x = np.asarray(x, dtype=np.float64)
-    return (x * (1.0 - x)) ** 2
+    s = np.multiply(np.subtract(1.0, x, out=out), x, out=out)   # (1 - x) x
+    return np.multiply(s, s, out=out)
 
 
 def dgibbs(x, out: np.ndarray | None = None):
@@ -80,9 +81,5 @@ def free_energy(f: ScalarField2D, kappa: float) -> float:
     g *= g
     density += g
     density *= kappa
-    # G(v) = (v (1 - v))^2, as gibbs computes it, in the buffer g is done with
-    np.subtract(1.0, v, out=g)
-    g *= v
-    g *= g
-    density += g
+    density += gibbs(v, out=g)
     return float(density.sum() * h * h)

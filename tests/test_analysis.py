@@ -346,13 +346,51 @@ def test_stacked_onsets_match_per_field_bisection():
     # starts from an empty grid
     wide = 0.9 + 0.1 * rng.random((8, 106))
     wide[:, 40] = 0.1 * rng.random(8)
-    for u in stacks + [leak, column[None], row[None], mixed, bridge[None],
-                       wide[None]]:
+    # fields under 128 cells, where n // 64 <= 1: the sweep closes a bracket
+    # of one rank; continuous values, 1000 and 3 levels, and constant fields
+    small = [draw((k, ny, nx)) for ny, nx in
+             ((1, 1), (1, 6), (6, 1), (2, 9), (9, 2), (4, 4), (5, 7), (8, 8), (11, 11))
+             for k in (1, 3)
+             for draw in (rng.random, lambda shape: rng.integers(0, 1000, shape) / 1000,
+                          lambda shape: rng.integers(0, 3, shape) / 3, np.ones)]
+    for u in stacks + small + [leak, column[None], row[None], mixed,
+                               bridge[None], wide[None]]:
         expected = [_per_field_onset(field) for field in u]
         assert analysis._spanning_onsets(u).tolist() == expected
     assert (analysis._spanning_onsets(leak) > 0.5).all()
     assert analysis._spanning_onsets(bridge[None])[0] == 0.5
     assert analysis._spanning_onsets(wide[None])[0] == wide[:, 40].max()
+
+
+def test_every_onset_ends_in_one_sweep(monkeypatch):
+    # each field of a stack is finished by exactly one _sweep_onset call,
+    # whether its bracket closes at one rank or at n // 64 ranks; on fields
+    # under 128 cells every bracket the sweep gets holds one rank: the cells
+    # above the last non-spanning value and tied at the onset
+    calls = []
+    sweep_onset = analysis._sweep_onset
+
+    def record(u, labels, above, upto):
+        calls.append((u.tobytes(), above, upto, sweep_onset(u, labels, above, upto)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(analysis, "_sweep_onset", record)
+    rng = np.random.default_rng(9)
+    column = 0.9 + 0.1 * rng.random((32, 32))
+    column[:, 7] = 0.1 * rng.random(32)
+    mixed = np.stack([rng.random((32, 32)), column,
+                      rng.integers(0, 3, (32, 32)) / 3, np.ones((32, 32))])
+    small = np.concatenate([rng.random((3, 5, 7)),
+                            rng.integers(0, 3, (3, 5, 7)) / 3, np.ones((1, 5, 7))])
+    for u in (mixed, small):
+        calls.clear()
+        onsets = analysis._spanning_onsets(u)
+        finished = {key: onset for key, _, _, onset in calls}
+        assert len(calls) == len(finished) == len(u)
+        assert [finished[f.tobytes()] for f in u] == onsets.tolist()
+    for f, onset in zip(small, onsets):
+        _, above, upto, _ = next(c for c in calls if c[0] == f.tobytes())
+        assert upto == onset and above == f[f < onset].max(initial=-np.inf)
 
 
 def test_spanning_onset_decides_spans_on_solver_snapshots(monkeypatch):
@@ -366,9 +404,15 @@ def test_spanning_onset_decides_spans_on_solver_snapshots(monkeypatch):
         return sweep_onset(*args)
 
     monkeypatch.setattr(analysis, "_sweep_onset", count_sweep)
-    f = gaussian_field(GridSpec(32, 32), 0.48, 1e-3, seed=3)
-    res = run(f, SolverParams(snapshot_times=(0.0, 10.0)))
-    for x in (res.snapshots[0.0].values, res.snapshots[10.0].values):
+    # a square map, and a 48 x 40 one (ny = 40): `spans` turns each axis
+    # of a non-square map to rows
+    snapshots = []
+    for spec in (GridSpec(32, 32), GridSpec(48, 40)):
+        f = gaussian_field(spec, 0.48, 1e-3, seed=3)
+        res = run(f, SolverParams(snapshot_times=(0.0, 10.0)))
+        snapshots += [res.snapshots[0.0].values, res.snapshots[10.0].values]
+    assert snapshots[-1].shape == (40, 48)
+    for x in snapshots:
         for axis in ("x", "y"):
             top = -analysis._spanning_onsets(-analysis._oriented(x, axis).T[None])[0]
             levels = [top, np.nextafter(top, np.inf), x.min(), x.max(),

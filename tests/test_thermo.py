@@ -65,6 +65,10 @@ def test_dgibbs_into_out_matches_allocating_call():
     buf = np.empty_like(x)
     assert dgibbs(x, out=buf) is buf
     assert np.array_equal(buf, dgibbs(x))
+    # gibbs takes the same out=, with the bits of (x (1 - x))^2
+    assert gibbs(x, out=buf) is buf
+    assert np.array_equal(buf, gibbs(x))
+    assert np.array_equal(buf, (x * (1.0 - x)) ** 2)
 
 
 def test_double_well_matches_polynomial_coefficients():
