@@ -281,11 +281,13 @@ def _spanning_onsets(u: np.ndarray) -> np.ndarray:
     values give the onset the search would.
 
     Every round labels the fields whose onset is still open in one
-    ndimage.label call on a 2-D image: their masks stacked as rows, with a
-    blank row under each so no cluster joins two fields, which _spanning
-    reads by their first and last rows, as `spans` reads its turned map.
+    ndimage.label call on their (k', ny, nx) stack of masks, under the 2-D
+    cross as a structure that joins no two fields; _spanning reads each
+    field by its first and last rows, as `spans` reads its turned map.
     """
     from scipy import ndimage
+    apart = np.zeros((3, 3, 3), dtype=bool)
+    apart[1] = ndimage.generate_binary_structure(2, 1)
     k, ny, nx = u.shape
     n = ny * nx
     onsets = np.empty(k, dtype=u.dtype)
@@ -295,7 +297,6 @@ def _spanning_onsets(u: np.ndarray) -> np.ndarray:
     hi = np.full(k, n - 1)    # u <= max(u) occupies every cell and spans
     probe = np.full(k, int(_P_C * n))
     step = max(1, int(n ** 0.625 / 2))
-    image = np.zeros((k, ny + 1, nx), dtype=bool)   # row ny stays blank
     base = np.zeros((k, ny, nx), dtype=np.int32)    # labels of u <= v[lo - 1]
     while True:
         sweep = hi - lo < max(1, n // _SWEEP_SHARE)
@@ -309,13 +310,10 @@ def _spanning_onsets(u: np.ndarray) -> np.ndarray:
         if not live.size:
             return onsets
         m = np.clip(probe, lo, hi - 1)
-        stack = image[:live.size]
-        np.less_equal(u, v[np.arange(live.size), m][:, None, None],
-                      out=stack[:, :ny])
-        labels, count = ndimage.label(stack.reshape(-1, nx))
-        labels = labels.reshape(stack.shape)[:, :ny]
+        labels, count = ndimage.label(
+            u <= v[np.arange(live.size), m][:, None, None], apart)
         span = _spanning(labels, count)
-        np.copyto(base, labels, where=~span[:, None, None])
+        base[~span] = labels[~span]
         hi = np.where(span, m, hi)
         lo = np.where(span, lo, m + 1)
         # lo > 0 once a probe failed to span, hi < n - 1 once one spanned

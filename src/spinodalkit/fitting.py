@@ -163,7 +163,7 @@ def nlls_fit(model: FitModel, x, y, init, max_iter: int = 200) -> FitResult:
 
     while it < max_iter:
         it += 1
-        JtJ = J.T @ J
+        JtJ, downhill = J.T @ J, -J.T @ r
         if not np.isfinite(JtJ).all():
             raise SingularFitError(f"{model.name}: non-finite normal equations",
                                    condition=float("inf"))
@@ -175,7 +175,7 @@ def nlls_fit(model: FitModel, x, y, init, max_iter: int = 200) -> FitResult:
         while True:
             try:
                 step = gauss_newton if stationary else \
-                    np.linalg.solve(JtJ + lam * scale, -J.T @ r)
+                    np.linalg.solve(JtJ + lam * scale, downhill)
                 if not np.isfinite(step).all():
                     raise np.linalg.LinAlgError("non-finite step")
             except np.linalg.LinAlgError as exc:

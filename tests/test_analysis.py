@@ -213,9 +213,9 @@ def test_percolation_stacks_run_on_a_thread_per_core(monkeypatch):
 
 
 def test_percolation_labels_stacks_of_at_most_2_16_cells(monkeypatch):
-    # every label call holds at most 16 trials of 64^2 (2^16 trial cells),
-    # each a 64-row mask followed by one blank row, and only trials whose
-    # onset is still open; one worker keeps the recorded calls in order
+    # every label call holds a stack of at most 16 trials of 64^2 (2^16
+    # trial cells), under a structure that joins no two trials, and only
+    # trials whose onset is still open; one worker keeps the calls in order
     monkeypatch.setattr("spinodalkit.fields._usable_cores", lambda: 1)
     stacks, results, calls = [], [], []
     spanning_onsets, label = analysis._spanning_onsets, scipy.ndimage.label
@@ -225,9 +225,9 @@ def test_percolation_labels_stacks_of_at_most_2_16_cells(monkeypatch):
         results.append(spanning_onsets(u))
         return results[-1]
 
-    def record_label(image, *args, **kwargs):
-        calls.append((len(stacks) - 1, image.copy()))
-        return label(image, *args, **kwargs)
+    def record_label(masks, structure, *args, **kwargs):
+        calls.append((len(stacks) - 1, masks.copy(), structure.copy()))
+        return label(masks, structure, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "_spanning_onsets", record_stack)
     monkeypatch.setattr(scipy.ndimage, "label", record_label)
@@ -243,13 +243,13 @@ def test_percolation_labels_stacks_of_at_most_2_16_cells(monkeypatch):
              for s, f in zip(v, fields)]
     assert np.concatenate(results).tolist() == [s[r] for s, r in zip(v, onset)]
     probes = [[] for _ in fields]     # ranks each trial was labelled at
-    for stack, image in calls:
-        assert image.shape[1] == 64 and image.shape[0] % 65 == 0
-        masks = image.reshape(-1, 65, 64)
-        assert 1 <= len(masks) <= 16 and not masks[:, 64].any()
+    for stack, masks, structure in calls:
+        assert masks.shape[1:] == (64, 64) and 1 <= len(masks) <= 16
+        # only the middle plane joins cells: none of a trial's to another's
+        assert structure.shape == (3, 3, 3) and not structure[[0, 2]].any()
         # the masks are trials of this stack, in stack order
         trial = first_trial[stack]
-        for mask in masks[:, :64]:
+        for mask in masks:
             rank = int(mask.sum()) - 1
             while not np.array_equal(mask, fields[trial] <= v[trial][rank]):
                 trial += 1
@@ -353,8 +353,13 @@ def test_stacked_onsets_match_per_field_bisection():
              for k in (1, 3)
              for draw in (rng.random, lambda shape: rng.integers(0, 1000, shape) / 1000,
                           lambda shape: rng.integers(0, 3, shape) / 3, np.ones)]
+    # each field's first and last rows hold its lowest values, so every probe
+    # occupies both: a structure joining field i's last row to field i + 1's
+    # first row would let field i span at its first probe
+    edges = 0.1 + 0.9 * rng.random((4, 40, 48))
+    edges[:, [0, -1]] = 0.01 * rng.random((4, 2, 48))
     for u in stacks + small + [leak, column[None], row[None], mixed,
-                               bridge[None], wide[None]]:
+                               bridge[None], wide[None], edges]:
         expected = [_per_field_onset(field) for field in u]
         assert analysis._spanning_onsets(u).tolist() == expected
     assert (analysis._spanning_onsets(leak) > 0.5).all()
